@@ -20,8 +20,12 @@
  *  (d) autoscaler trajectory -- a diurnal ramp under the SLO
  *      controller: the active pool grows up the ramp, shrinks after
  *      the peak, and the windowed p99 comes back under target.
+ *  (e) dispatch cost vs queue depth -- the same unbounded 2-chip
+ *      overload at N and 4N requests: the queue grows with the
+ *      stream, yet host time per request must not (a dispatcher that
+ *      scans or erases the queue per dispatch is quadratic overall).
  *
- * `--smoke` shrinks the streams and gates (a)-(d) with hard
+ * `--smoke` shrinks the streams and gates (a)-(e) with hard
  * PASS/FAIL thresholds; the binary exits non-zero on any failure
  * (the CI hook).  `--threads N` sets the host worker pool.
  *
@@ -116,7 +120,7 @@ main(int argc, char **argv)
             smoke = true;
     banner("serve-scale",
            "streamed serving: bounded memory, fleet sweep, "
-           "shedding, autoscaler");
+           "shedding, autoscaler, dispatch cost");
 
     const pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();
@@ -306,6 +310,42 @@ main(int argc, char **argv)
                    ramp_rep.scaleUps > 0 && ramp_rep.scaleDowns > 0);
         ok &= gate("windowed p99 within SLO for >= 70% of ticks",
                    in_slo_frac >= 0.70);
+    }
+
+    // ---- (e) dispatch cost vs queue depth -----------------------
+    // 60k req/s offered to ~40k req/s of chips with unbounded
+    // admission: the backlog grows linearly, to thousands at N and
+    // four times that at 4N.
+    const long cliff_requests = smoke ? 10'000 : 40'000;
+    util::Table cliff("host cost per request under unbounded overload "
+                      "(2 chips, offered 60k req/s)");
+    cliff.setHeader({"requests", "host ms", "host us/request",
+                     "p99 us"});
+    double us_per_request[2] = {0.0, 0.0};
+    bool drained = true;
+    for (int k = 0; k < 2; ++k) {
+        const long n = k == 0 ? cliff_requests : 4 * cliff_requests;
+        const stream::StreamConfig scfg = baseConfig(
+            2, threads, n, 60'000.0, serve::ArrivalKind::Poisson);
+        const auto tc = std::chrono::steady_clock::now();
+        const auto rep = run(scfg, cache);
+        const double host_s =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - tc)
+                .count();
+        drained &= rep.requests == n;
+        us_per_request[k] = host_s * 1e6 / static_cast<double>(n);
+        cliff.addRow({std::to_string(n), util::Table::fmt(host_s * 1e3, 1),
+                      util::Table::fmt(us_per_request[k], 2),
+                      util::Table::fmt(rep.p99Us, 0)});
+    }
+    cliff.print();
+    const double cliff_ratio = us_per_request[1] / us_per_request[0];
+    std::printf("host us/request at 4N over N: %.2f\n", cliff_ratio);
+    if (smoke) {
+        ok &= gate("unbounded overload drains every request", drained);
+        ok &= gate("host us/request at 4N <= 1.5x that at N",
+                   cliff_ratio <= 1.5);
     }
 
     if (smoke)

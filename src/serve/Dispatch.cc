@@ -66,21 +66,6 @@ ChipPool::ChipPool(int chips)
                chips);
 }
 
-int
-ChipPool::freeChipAt(double now_us) const
-{
-    int c = -1;
-    for (int i = 0; i < size(); ++i) {
-        const auto &s = slots[static_cast<size_t>(i)];
-        if (!s.active || s.freeAtUs > now_us)
-            continue;
-        if (c < 0 ||
-            s.freeAtUs < slots[static_cast<size_t>(c)].freeAtUs)
-            c = i;
-    }
-    return c;
-}
-
 std::vector<int>
 ChipPool::acquireGang(const std::vector<int> &slot_classes) const
 {
@@ -339,13 +324,13 @@ ArtifactMeta::ArtifactMeta(const FleetConfig &fcfg,
 const std::vector<int> &
 ArtifactMeta::gangClasses(const shard::ShardedModel *m) const
 {
-    return gangInfo.at(m).slotClasses;
+    return gangInfo.at(m->plan.modelName).slotClasses;
 }
 
 const std::vector<shard::StageEnv> *
 ArtifactMeta::stageEnvs(const shard::ShardedModel *m) const
 {
-    const auto &envs = gangInfo.at(m).stageEnvs;
+    const auto &envs = gangInfo.at(m->plan.modelName).stageEnvs;
     return envs.empty() ? nullptr : &envs;
 }
 
@@ -365,7 +350,7 @@ ArtifactMeta::reloadUs(const std::string &model) const
 const ArtifactMeta::GangSlots &
 ArtifactMeta::gangSlots(const shard::ShardedModel *m) const
 {
-    return gangInfo.at(m).slots;
+    return gangInfo.at(m->plan.modelName).slots;
 }
 
 const ArtifactMeta::ModelInfo &
@@ -417,9 +402,10 @@ ArtifactMeta::gangRoute(const GangSpec &gang)
 }
 
 const ArtifactMeta::ArtifactInfo &
-ArtifactMeta::artifactInfoOf(const CompiledModel &art, int cls)
+ArtifactMeta::artifactInfoOf(const std::string &model,
+                             const CompiledModel &art, int cls)
 {
-    auto it = artifactInfo.find(&art);
+    auto it = artifactInfo.find({model, cls});
     if (it == artifactInfo.end()) {
         ArtifactInfo info;
         const double full_macs =
@@ -427,16 +413,18 @@ ArtifactMeta::artifactInfoOf(const CompiledModel &art, int cls)
         info.estServiceUs = 2.0 * full_macs / cal.peakTops / 1e6;
         info.safeLevel = artifactSafeLevel(
             art, classTable[static_cast<size_t>(cls)]);
-        it = artifactInfo.emplace(&art, info).first;
+        it = artifactInfo.emplace(std::make_pair(model, cls), info)
+                 .first;
     }
     return it->second;
 }
 
 const ArtifactMeta::GangInfo &
-ArtifactMeta::gangInfoOf(const shard::ShardedModel &sharded,
+ArtifactMeta::gangInfoOf(const std::string &model,
+                         const shard::ShardedModel &sharded,
                          const GangRoute &route)
 {
-    auto it = gangInfo.find(&sharded);
+    auto it = gangInfo.find(model);
     if (it != gangInfo.end())
         return it->second;
     GangInfo info;
@@ -468,7 +456,7 @@ ArtifactMeta::gangInfoOf(const shard::ShardedModel &sharded,
                  runConfigForSku(fcfg->options, *sku)});
         slot += static_cast<size_t>(stage.ways);
     }
-    return gangInfo.emplace(&sharded, std::move(info)).first->second;
+    return gangInfo.emplace(model, std::move(info)).first->second;
 }
 
 QueuedRequest
@@ -485,7 +473,8 @@ ArtifactMeta::annotate(const Request &request, ModelCache &cache)
         q.gangChips = q.sharded->totalChips();
         q.requiredMweight = modelInfo(request.model).mweight /
                             gang->partition.chips;
-        const GangInfo &info = gangInfoOf(*q.sharded, route);
+        const GangInfo &info =
+            gangInfoOf(request.model, *q.sharded, route);
         q.estServiceUs = info.estServiceUs;
         q.safeLevelByClass.assign(nclasses, info.safeLevel);
         return q;
@@ -507,7 +496,8 @@ ArtifactMeta::annotate(const Request &request, ModelCache &cache)
         auto &art = q.compiledByClass[static_cast<size_t>(cls)];
         art = sku ? cache.get(request.model, fcfg->options, *sku)
                   : cache.get(request.model, fcfg->options);
-        const ArtifactInfo &info = artifactInfoOf(*art, cls);
+        const ArtifactInfo &info =
+            artifactInfoOf(request.model, *art, cls);
         q.safeLevelByClass[static_cast<size_t>(cls)] = info.safeLevel;
         if (best < 0 || skus.capacity(cls) > skus.capacity(best)) {
             best = cls;

@@ -164,12 +164,6 @@ class ChipPool
     }
 
     /**
-     * Active chip already free at @p nowUs with the smallest
-     * (freeAtUs, id), or -1 when every active chip is still busy.
-     */
-    int freeChipAt(double nowUs) const;
-
-    /**
      * Atomic gang acquisition: member j must be an active chip of
      * class slotClasses[j], each slot taking the earliest-free (ties
      * -> lowest id) not-yet-taken chip of its class; on a one-class
@@ -332,7 +326,7 @@ classExecutors(const FleetSkus &skus, const pim::PimConfig &cfg,
 
 /**
  * Annotates requests with artifacts and scheduling keys, memoizing
- * the per-model and per-artifact derived quantities (weight
+ * the per-model and per-(model, class) derived quantities (weight
  * footprint, reload cost, gang routing, estimated full-inference
  * service time, worst safe level, gang slot layout and stage
  * environments) so a million-request stream derives them once per
@@ -426,10 +420,14 @@ class ArtifactMeta
 
     const ModelInfo &modelInfo(const std::string &model);
     const GangRoute &gangRoute(const GangSpec &gang);
-    /** Memoized keys of a single-chip artifact of class @p cls. */
-    const ArtifactInfo &artifactInfoOf(const CompiledModel &art,
+    /** Memoized keys of @p model's single-chip artifact @p art of
+     * class @p cls. */
+    const ArtifactInfo &artifactInfoOf(const std::string &model,
+                                       const CompiledModel &art,
                                        int cls);
-    const GangInfo &gangInfoOf(const shard::ShardedModel &sharded,
+    /** Memoized keys of @p model's gang artifact @p sharded. */
+    const GangInfo &gangInfoOf(const std::string &model,
+                               const shard::ShardedModel &sharded,
                                const GangRoute &route);
 
     const FleetConfig *fcfg;
@@ -440,8 +438,15 @@ class ArtifactMeta
     std::map<std::string, const GangSpec *> gangOf;
     std::map<std::string, ModelInfo> models;
     std::map<std::string, GangRoute> gangRoutes;
-    std::map<const CompiledModel *, ArtifactInfo> artifactInfo;
-    std::map<const shard::ShardedModel *, GangInfo> gangInfo;
+    /**
+     * Keyed by (model, class) and by model, never by artifact
+     * address: a bounded ModelCache frees evicted artifacts, and the
+     * allocator may hand a freed address to another model's
+     * artifact.  Every scheduling key is therefore a per-model
+     * constant, which the engine's per-model queues rely on.
+     */
+    std::map<std::pair<std::string, int>, ArtifactInfo> artifactInfo;
+    std::map<std::string, GangInfo> gangInfo;
 };
 
 /**

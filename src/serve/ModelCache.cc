@@ -1,8 +1,8 @@
 #include "serve/ModelCache.hh"
 
+#include <charconv>
 #include <chrono>
-#include <ios>
-#include <sstream>
+#include <type_traits>
 
 #include "workload/ModelZoo.hh"
 
@@ -22,6 +22,57 @@ msSince(Clock::time_point start)
         .count();
 }
 
+/** Room for a typical single-chip key plus a SKU suffix. */
+constexpr size_t kKeyReserve = 320;
+
+/**
+ * Append one key field: bools as 0/1, integers and enums in decimal,
+ * doubles as exact hex floats (so near-equal values cannot collide),
+ * text verbatim.
+ */
+template <typename T>
+void
+appendField(std::string &k, const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        k += v ? '1' : '0';
+    } else if constexpr (std::is_enum_v<T>) {
+        appendField(k, static_cast<int>(v));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        char buf[40];
+        std::to_chars_result r;
+        if constexpr (std::is_floating_point_v<T>)
+            r = std::to_chars(buf, buf + sizeof buf, v,
+                              std::chars_format::hex);
+        else
+            r = std::to_chars(buf, buf + sizeof buf, v);
+        k.append(buf, r.ptr);
+    } else {
+        k += v;
+    }
+}
+
+template <typename... Ts>
+void
+append(std::string &k, const Ts &...fields)
+{
+    (appendField(k, fields), ...);
+}
+
+void
+appendSkuKey(std::string &k, const ChipSku &sku)
+{
+    // SKU identity for artifact sharing: name + geometry + the
+    // electricals that shape compilation or execution.  Two SKUs
+    // that differ anywhere here never share an artifact.
+    append(k, "|sku|", sku.name, ",g=", sku.pim.groups,
+           ",mpg=", sku.pim.macrosPerGroup, ",rows=", sku.pim.rows,
+           ",banks=", sku.pim.banks,
+           ",wbuf=", sku.weightBufMweightPerMacro,
+           ",tops=", sku.cal.peakTops, ",dsc=", sku.pdn.decapScale,
+           ",bsc=", sku.pdn.bumpScale);
+}
+
 } // namespace
 
 ModelCache::ModelCache(const AimPipeline &pipeline, size_t capacity)
@@ -32,29 +83,26 @@ ModelCache::ModelCache(const AimPipeline &pipeline, size_t capacity)
 std::string
 ModelCache::key(const std::string &model, const AimOptions &opts)
 {
+    std::string k;
+    k.reserve(kKeyReserve);
     // Every option field participates: two artifacts are shared only
     // when they are byte-for-byte interchangeable, including the
     // runtime fields execute() reads back from CompiledModel::options.
-    // Doubles print as hexfloat so near-equal values cannot collide.
-    std::ostringstream os;
-    os << std::hexfloat;
-    os << model << "|lhr=" << opts.useLhr << ",l=" << opts.lambda
-       << ",wds=" << opts.useWds << ",d=" << opts.wdsDelta
-       << ",boost=" << opts.useBooster
-       << ",agg=" << opts.aggressiveAdjustment
-       << ",mode=" << static_cast<int>(opts.mode)
-       << ",beta=" << opts.beta
-       << ",map=" << static_cast<int>(opts.mapper)
-       << ",ir=" << static_cast<int>(opts.irBackend);
+    append(k, model, "|lhr=", opts.useLhr, ",l=", opts.lambda,
+           ",wds=", opts.useWds, ",d=", opts.wdsDelta,
+           ",boost=", opts.useBooster,
+           ",agg=", opts.aggressiveAdjustment, ",mode=", opts.mode,
+           ",beta=", opts.beta, ",map=", opts.mapper,
+           ",ir=", opts.irBackend);
     // The transient electrical knobs shape the artifact only when
     // the Transient backend answers the windows; keying them
     // unconditionally would recompile bit-identical Analytic/Mesh
     // artifacts over an ignored field.
     if (opts.irBackend == power::IrBackendKind::Transient)
-        os << ",tdc=" << opts.transientDecapNf
-           << ",tdt=" << opts.transientDtNs;
-    os << ",bits=" << opts.bits << ",work=" << opts.workScale
-       << ",seed=" << opts.seed << ",isa=" << opts.useIsa;
+        append(k, ",tdc=", opts.transientDecapNf,
+               ",tdt=", opts.transientDtNs);
+    append(k, ",bits=", opts.bits, ",work=", opts.workScale,
+           ",seed=", opts.seed, ",isa=", opts.useIsa);
     // Scheduling knobs shape the artifact (instruction costs + the
     // attached Schedule) only when the scheduler is on; same gating
     // rationale as the transient knobs above.
@@ -62,27 +110,17 @@ ModelCache::key(const std::string &model, const AimOptions &opts)
     // an explicit default-valued knob -- which compile byte-identical
     // programs -- share one artifact instead of aliasing into two.
     if (opts.isaSchedule)
-        os << ",sched=1,slw=" << resolvedIsaLoadUsPerMword(opts)
-           << ",srt=" << resolvedIsaRetuneUs(opts);
-    return os.str();
+        append(k, ",sched=1,slw=", resolvedIsaLoadUsPerMword(opts),
+               ",srt=", resolvedIsaRetuneUs(opts));
+    return k;
 }
 
 std::string
 ModelCache::skuKey(const ChipSku &sku)
 {
-    // SKU identity for artifact sharing: name + geometry + the
-    // electricals that shape compilation or execution.  Two SKUs
-    // that differ anywhere here never share an artifact.
-    std::ostringstream os;
-    os << std::hexfloat;
-    os << "|sku|" << sku.name << ",g=" << sku.pim.groups
-       << ",mpg=" << sku.pim.macrosPerGroup
-       << ",rows=" << sku.pim.rows << ",banks=" << sku.pim.banks
-       << ",wbuf=" << sku.weightBufMweightPerMacro
-       << ",tops=" << sku.cal.peakTops
-       << ",dsc=" << sku.pdn.decapScale
-       << ",bsc=" << sku.pdn.bumpScale;
-    return os.str();
+    std::string k;
+    appendSkuKey(k, sku);
+    return k;
 }
 
 std::string
@@ -90,23 +128,21 @@ ModelCache::shardedKey(const std::string &model,
                        const AimOptions &opts,
                        const shard::PartitionConfig &pcfg)
 {
-    std::ostringstream os;
-    os << std::hexfloat;
-    os << key(model, opts) << "|shard|chips=" << pcfg.chips
-       << ",tp=" << pcfg.allowTensorParallel
-       << ",tsf=" << pcfg.tensorSplitFactor
-       << ",ways=" << pcfg.maxTensorWays
-       << ",aff=" << pcfg.rtogAffinityWeight;
+    std::string k = key(model, opts);
+    append(k, "|shard|chips=", pcfg.chips,
+           ",tp=", pcfg.allowTensorParallel,
+           ",tsf=", pcfg.tensorSplitFactor,
+           ",ways=", pcfg.maxTensorWays,
+           ",aff=", pcfg.rtogAffinityWeight);
     // Capacity-aware plans depend on the member capacities; keying
     // them keeps a uniform and a weighted plan of the same shape
-    // from aliasing.  Legacy (empty) prints nothing, preserving
-    // every pre-capacity key byte-for-byte.
+    // from aliasing.
     if (!pcfg.memberCapacity.empty()) {
-        os << ",cap=";
+        k += ",cap=";
         for (size_t i = 0; i < pcfg.memberCapacity.size(); ++i)
-            os << (i ? ";" : "") << pcfg.memberCapacity[i];
+            append(k, i ? ";" : "", pcfg.memberCapacity[i]);
     }
-    return os.str();
+    return k;
 }
 
 template <typename Compile>
@@ -160,7 +196,9 @@ std::shared_ptr<const CompiledModel>
 ModelCache::get(const std::string &model, const AimOptions &opts,
                 const ChipSku &sku)
 {
-    return lookup(key(model, opts) + skuKey(sku), [&](Entry &entry) {
+    std::string k = key(model, opts);
+    appendSkuKey(k, sku);
+    return lookup(k, [&](Entry &entry) {
         // Compiled against the SKU's own chip, not the constructor
         // pipeline's: a small bin tiles into different rounds than
         // the big part.
@@ -178,9 +216,10 @@ ModelCache::getSharded(const std::string &model,
 {
     if (slotSkus.empty())
         return getSharded(model, opts, pcfg);
-    std::string k = shardedKey(model, opts, pcfg) + "|slots|";
+    std::string k = shardedKey(model, opts, pcfg);
+    k += "|slots|";
     for (size_t i = 0; i < slotSkus.size(); ++i)
-        k += (i ? "," : "") + slotSkus[i].name;
+        append(k, i ? "," : "", slotSkus[i].name);
     return lookup(k, [&](Entry &entry) {
         std::vector<pim::PimConfig> slot_pim;
         std::vector<power::Calibration> slot_cal;

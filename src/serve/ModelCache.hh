@@ -85,7 +85,8 @@ class ModelCache
                const shard::PartitionConfig &pcfg,
                const std::vector<ChipSku> &slotSkus);
 
-    /** Cache key of a (model, options) combination. */
+    /** Cache key of a (model, options) combination: every field that
+     * shapes the artifact, doubles as exact hex floats. */
     static std::string key(const std::string &model,
                            const AimOptions &opts);
 
@@ -124,17 +125,6 @@ class ModelCache
 
     /** Drop every artifact and reset all counters. */
     void clear();
-
-    /**
-     * Zero the hit/miss/eviction counters (artifacts stay cached).
-     * Lets callers measure per-run deltas on a shared warm cache.
-     */
-    void resetCounters()
-    {
-        hitCount = 0;
-        missCount = 0;
-        evictionCount = 0;
-    }
 
   private:
     /** One cached artifact of either kind. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-
 namespace aim::serve
 {
 
@@ -83,7 +82,32 @@ irRank(const QueuedRequest &q, const ChipContext &chip)
     return r;
 }
 
+/** Can @p chip host @p q?  Gangs are candidates on any chip:
+ * acquisition routes the members. */
+bool
+eligible(const QueuedRequest &q, const ChipContext &chip)
+{
+    return q.sharded || q.requiredMweight <= chip.capacityMweight;
+}
+
 } // namespace
+
+bool
+Scheduler::before(const QueuedRequest &cand, const QueuedRequest &lead,
+                  const ChipContext &chip) const
+{
+    switch (kind) {
+      case SchedPolicy::Fcfs:
+        return cand.request.arrivalUs < lead.request.arrivalUs;
+      case SchedPolicy::Sjf:
+        return cand.estServiceUs < lead.estServiceUs ||
+               (cand.estServiceUs == lead.estServiceUs &&
+                cand.request.arrivalUs < lead.request.arrivalUs);
+      case SchedPolicy::IrAware:
+        return irRank(cand, chip) < irRank(lead, chip);
+    }
+    return false;
+}
 
 size_t
 Scheduler::pick(const std::vector<QueuedRequest> &queue,
@@ -92,34 +116,59 @@ Scheduler::pick(const std::vector<QueuedRequest> &queue,
     size_t best = queue.size();
     for (size_t i = 0; i < queue.size(); ++i) {
         const auto &cand = queue[i];
-        if (best < queue.size()) {
-            const auto &lead = queue[best];
-            bool better = false;
-            switch (kind) {
-              case SchedPolicy::Fcfs:
-                better =
-                    cand.request.arrivalUs < lead.request.arrivalUs;
-                break;
-              case SchedPolicy::Sjf:
-                better = cand.estServiceUs < lead.estServiceUs ||
-                         (cand.estServiceUs == lead.estServiceUs &&
-                          cand.request.arrivalUs <
-                              lead.request.arrivalUs);
-                break;
-              case SchedPolicy::IrAware:
-                better = irRank(cand, chip) < irRank(lead, chip);
-                break;
-            }
-            if (!better)
-                continue;
-        }
+        if (best < queue.size() && !before(cand, queue[best], chip))
+            continue;
         // Eligibility is only checked on a would-be pick, which keeps
-        // the common everything-fits scan as cheap as the rank.  Gangs
-        // are candidates on any chip: acquisition routes the members.
-        if (cand.sharded || cand.requiredMweight <= chip.capacityMweight)
+        // the common everything-fits scan as cheap as the rank.
+        if (eligible(cand, chip))
             best = i;
     }
     return best;
+}
+
+int
+Scheduler::pickHead(const ModelQueues &pending,
+                    const ChipContext &chip) const
+{
+    int best = -1;
+    for (int m = 0; m < pending.queues(); ++m) {
+        if (pending.depth(m) == 0)
+            continue;
+        const QueuedRequest &cand = pending.at(m, 0);
+        if (!eligible(cand, chip))
+            continue;
+        // Equal ranks go to the earlier admission, as in pick().
+        if (best < 0 || before(cand, pending.at(best, 0), chip) ||
+            (!before(pending.at(best, 0), cand, chip) &&
+             pending.headSeq(m) < pending.headSeq(best)))
+            best = m;
+    }
+    return best;
+}
+
+void
+ModelQueues::push(QueuedRequest q)
+{
+    auto it = std::find_if(fifos.begin(), fifos.end(),
+                           [&](const Fifo &f) {
+                               return f.model == q.request.model;
+                           });
+    if (it == fifos.end()) {
+        fifos.push_back({q.request.model, {}});
+        it = fifos.end() - 1;
+    }
+    it->entries.push_back({admittedCount++, std::move(q)});
+    ++count;
+}
+
+QueuedRequest
+ModelQueues::pop(int m)
+{
+    auto &entries = fifos[static_cast<size_t>(m)].entries;
+    QueuedRequest q = std::move(entries.front().q);
+    entries.pop_front();
+    --count;
+    return q;
 }
 
 } // namespace aim::serve

@@ -20,6 +20,17 @@
  * its weights (ChipContext::capacityMweight), and the IR-aware rank
  * reads the safe level of the artifact compiled for the chip's class.
  *
+ * Two picks share one rank.  Scheduler::pick scans a flat queue in
+ * admission order and returns its first minimal eligible request:
+ * the reference.  The serving engine keeps one FIFO per model
+ * instead (ModelQueues) and ranks only the queue heads
+ * (Scheduler::pickHead), which returns the same request in O(models)
+ * because every rank key but arrival -- predicted service, per-class
+ * safe level, weight footprint, gang-ness and the resident-model
+ * match -- is a per-model constant (serve::ArtifactMeta memoizes them
+ * per model), and arrivals never decrease in admission order: a
+ * model's head ranks no worse than anything queued behind it.
+ *
  * Chip-group dispatch: a QueuedRequest whose model is sharded
  * (src/shard/) carries gangChips > 1 and a ShardedModel artifact.
  * Policies rank it like any other request on any chip; when picked,
@@ -30,8 +41,10 @@
 #ifndef AIM_SERVE_SCHEDULER_HH
 #define AIM_SERVE_SCHEDULER_HH
 
+#include <deque>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "aim/Aim.hh"
@@ -123,6 +136,64 @@ struct ChipContext
 int artifactSafeLevel(const CompiledModel &compiled,
                       const power::VfTable &table);
 
+/**
+ * Pending requests as one FIFO per model, each in admission order.
+ * A request's admission sequence number orders it against the other
+ * queues' requests.  Queues are created on a model's first
+ * admission and stay (possibly empty) for the run, so queue indices
+ * are stable.
+ */
+class ModelQueues
+{
+  public:
+    /** Admit @p q behind every request admitted before it. */
+    void push(QueuedRequest q);
+
+    /** Pop the head of queue @p m. */
+    QueuedRequest pop(int m);
+
+    /** Requests queued across every model. */
+    long size() const { return count; }
+
+    /** Queues created so far (empty ones included). */
+    int queues() const { return static_cast<int>(fifos.size()); }
+
+    /** Requests queued in queue @p m. */
+    size_t depth(int m) const
+    {
+        return fifos[static_cast<size_t>(m)].entries.size();
+    }
+
+    /** The @p i-th request of queue @p m (0 = its head). */
+    const QueuedRequest &at(int m, size_t i) const
+    {
+        return fifos[static_cast<size_t>(m)].entries[i].q;
+    }
+
+    /** Admission sequence number of queue @p m's head. */
+    long headSeq(int m) const
+    {
+        return fifos[static_cast<size_t>(m)].entries.front().seq;
+    }
+
+  private:
+    struct Entry
+    {
+        long seq = 0;
+        QueuedRequest q;
+    };
+
+    struct Fifo
+    {
+        std::string model;
+        std::deque<Entry> entries;
+    };
+
+    std::vector<Fifo> fifos;
+    long admittedCount = 0;
+    long count = 0;
+};
+
 /** Picks the next request for a freed chip. */
 class Scheduler
 {
@@ -133,14 +204,29 @@ class Scheduler
      * Index into @p queue of the request the chip should run next,
      * among the candidates the chip's capacity admits (gangs are
      * candidates everywhere); queue.size() when there is none.
-     * Entries are not reordered.
+     * Entries are not reordered; among equally ranked candidates the
+     * earliest entry wins.  The reference pickHead is tested against.
      */
     size_t pick(const std::vector<QueuedRequest> &queue,
                 const ChipContext &chip) const;
 
+    /**
+     * Queue of @p pending whose head the chip should run next, or -1
+     * when no head is a candidate.  Equally ranked heads go in
+     * admission order.  With per-model rank keys and arrivals
+     * non-decreasing in admission order, this is the request pick()
+     * returns over all of @p pending laid out in admission order.
+     */
+    int pickHead(const ModelQueues &pending,
+                 const ChipContext &chip) const;
+
     SchedPolicy policy() const { return kind; }
 
   private:
+    /** Does @p cand rank strictly before @p lead on @p chip? */
+    bool before(const QueuedRequest &cand, const QueuedRequest &lead,
+                const ChipContext &chip) const;
+
     SchedPolicy kind;
 };
 

@@ -308,7 +308,9 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
 
     std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
     long seq = 0;
-    std::vector<serve::QueuedRequest> pending;
+    // Admitted requests, one FIFO per model; the scheduler ranks the
+    // heads (see serve::Scheduler::pickHead).
+    serve::ModelQueues pending;
     // Requests pulled from the source ahead of their arrival, in
     // arrival order.  Exact service annotates them at pull (the
     // ahead window executes them); the other modes at admission.
@@ -379,8 +381,9 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                     !has_report(q, cls))
                     todo.push_back({&q, cls});
         };
-        for (const auto &q : pending)
-            collect(q);
+        for (int m = 0; m < pending.queues(); ++m)
+            for (size_t i = 0; i < pending.depth(m); ++i)
+                collect(pending.at(m, i));
         for (const auto &q : upcoming)
             collect(q);
         // Longest first: workers pull items in order, so the short
@@ -463,6 +466,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
     // Dispatch one request (and, with batching, its same-model
     // followers) on chip c at time now.  Returns false when nothing
     // in the queue is eligible for this chip.
+    std::vector<serve::QueuedRequest> batch;
     const auto dispatch_one = [&](int c, double now) -> bool {
         const int cls = pool.classOf(c);
         serve::ChipContext ctx;
@@ -471,36 +475,28 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
         ctx.safeLevel = pool.slot(c).safeLevel;
         ctx.skuClass = cls;
         ctx.capacityMweight = skus.capacity(cls);
-        const size_t idx = sched.pick(pending, ctx);
-        if (idx == pending.size())
+        const int m = sched.pickHead(pending, ctx);
+        if (m < 0)
             return false;
 
-        // The batch: the picked leader plus (with batching on) up to
-        // maxBatch-1 queued same-model requests, co-dispatched
-        // behind one reload/retune.  Gangs never batch.
-        std::vector<size_t> picked{idx};
-        if (scfg.batching && !pending[idx].sharded)
-            for (size_t i = 0;
-                 i < pending.size() &&
-                 picked.size() < static_cast<size_t>(scfg.maxBatch);
-                 ++i)
-                if (i != idx && !pending[i].sharded &&
-                    pending[i].request.model ==
-                        pending[idx].request.model)
-                    picked.push_back(i);
-        if (exact_service &&
-            std::any_of(picked.begin(), picked.end(), [&](size_t i) {
-                return !has_report(pending[i], cls);
-            }))
-            execute_ahead();
-        std::vector<serve::QueuedRequest> batch;
-        batch.reserve(picked.size());
-        for (const size_t i : picked)
-            batch.push_back(std::move(pending[i]));
-        std::sort(picked.begin(), picked.end(), std::greater<>());
-        for (const size_t i : picked)
-            pending.erase(pending.begin() +
-                          static_cast<std::ptrdiff_t>(i));
+        // The batch: the picked head plus (with batching on) the up
+        // to maxBatch-1 requests queued behind it -- its model's
+        // next admissions -- co-dispatched behind one reload/retune.
+        // Gangs never batch.
+        const size_t take =
+            scfg.batching && !pending.at(m, 0).sharded
+                ? std::min(pending.depth(m),
+                           static_cast<size_t>(scfg.maxBatch))
+                : 1;
+        if (exact_service)
+            for (size_t i = 0; i < take; ++i)
+                if (!has_report(pending.at(m, i), cls)) {
+                    execute_ahead();
+                    break;
+                }
+        batch.clear();
+        for (size_t i = 0; i < take; ++i)
+            batch.push_back(pending.pop(m));
         const serve::QueuedRequest &q = batch.front();
 
         if (q.sharded) {
@@ -626,7 +622,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
     // when none can take anything.
     std::vector<int> free_chips;
     const auto dispatch_all = [&](double now) {
-        while (!pending.empty()) {
+        while (pending.size() > 0) {
             free_chips.clear();
             for (int i = 0; i < pool.size(); ++i)
                 if (pool.slot(i).active &&
@@ -680,8 +676,8 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                 serve::QueuedRequest q = std::move(upcoming.front());
                 upcoming.pop_front();
                 ++generated;
-                if (admission.admit(static_cast<long>(pending.size())))
-                    pending.push_back(
+                if (admission.admit(pending.size()))
+                    pending.push(
                         exact_service ? std::move(q)
                                       : meta.annotate(q.request, cache));
                 else
@@ -697,18 +693,16 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
               case Event::ControlTick: {
                 const double p99 = window.p99();
                 const ScaleAction action = scaler.tick(
-                    now, p99, static_cast<long>(pending.size()),
-                    pool.activeCount());
+                    now, p99, pending.size(), pool.activeCount());
                 if (action == ScaleAction::Up &&
                     pool.activateOne())
                     ++rep.scaleUps;
                 else if (action == ScaleAction::Down &&
                          pool.deactivateOne(min_active))
                     ++rep.scaleDowns;
-                rep.trajectory.push_back(
-                    {now, pool.activeCount(), p99,
-                     static_cast<long>(pending.size()),
-                     admission.shedRate()});
+                rep.trajectory.push_back({now, pool.activeCount(), p99,
+                                          pending.size(),
+                                          admission.shedRate()});
                 // Keep ticking while the run is live; an empty heap
                 // here means all arrivals are served and drained.
                 if (!heap.empty())

@@ -8,8 +8,8 @@
  * time-ordered event heap of three event kinds:
  *
  *   Arrival     -- the source's next request reaches the front door;
- *                  admission control admits it into the pending
- *                  queue or sheds it
+ *                  admission control admits it into its model's
+ *                  pending FIFO or sheds it
  *   Completion  -- a dispatched request finishes; its latency lands
  *                  in the digests and the freed chip can take work
  *   ControlTick -- the periodic control plane runs: the autoscaler
@@ -22,6 +22,15 @@
  * class can hold -- until chips or work run out; a SKU-less fleet is
  * one class.  Memory is bounded by the queue depth, the in-flight
  * work and the execute-ahead window, never by the stream length.
+ *
+ * Pending requests wait in one FIFO per model (serve::ModelQueues),
+ * and a pick ranks only the queue heads (Scheduler::pickHead), so a
+ * dispatch costs O(models) however deep the backlog.  That returns
+ * the request a scan of the whole queue would because every rank key
+ * but arrival is a per-model constant (serve::ArtifactMeta memoizes
+ * them per model and SKU class) and requests are admitted in arrival
+ * order -- the source's arrivals must not decrease.  Batch fill takes
+ * the leader's own queue's next requests.
  *
  * Service-time modes: exact (every request executes on the chip
  * model) and sampled (per model and SKU class, K seeded RunReports

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "serve/ModelCache.hh"
 
 using namespace aim;
@@ -73,20 +78,86 @@ TEST(ModelCache, KeyCoversModelAndOptions)
     AimOptions opts;
     const auto base = ModelCache::key("ResNet18", opts);
     EXPECT_NE(base, ModelCache::key("GPT2", opts));
-
-    AimOptions changed = opts;
-    changed.wdsDelta = 8;
-    EXPECT_NE(base, ModelCache::key("ResNet18", changed));
-    changed = opts;
-    changed.seed = 1234;
-    EXPECT_NE(base, ModelCache::key("ResNet18", changed));
-    changed = opts;
-    changed.workScale = 0.5;
-    EXPECT_NE(base, ModelCache::key("ResNet18", changed));
-    changed = opts;
-    changed.useIsa = true;
-    EXPECT_NE(base, ModelCache::key("ResNet18", changed));
     EXPECT_EQ(base, ModelCache::key("ResNet18", opts));
+
+    // Every keyed field, one at a time; doubles move by one ulp, so
+    // near-equal values must not collide either.
+    const auto ulp = [](double v) { return std::nextafter(v, 1e9); };
+    const std::vector<
+        std::pair<const char *, std::function<void(AimOptions &)>>>
+        edits = {
+            {"useLhr", [](AimOptions &o) { o.useLhr = !o.useLhr; }},
+            {"lambda", [&](AimOptions &o) { o.lambda = ulp(o.lambda); }},
+            {"useWds", [](AimOptions &o) { o.useWds = !o.useWds; }},
+            {"wdsDelta", [](AimOptions &o) { o.wdsDelta = 8; }},
+            {"useBooster",
+             [](AimOptions &o) { o.useBooster = !o.useBooster; }},
+            {"aggressiveAdjustment",
+             [](AimOptions &o) {
+                 o.aggressiveAdjustment = !o.aggressiveAdjustment;
+             }},
+            {"mode",
+             [](AimOptions &o) { o.mode = booster::BoostMode::LowPower; }},
+            {"beta", [](AimOptions &o) { o.beta += 1; }},
+            {"mapper",
+             [](AimOptions &o) {
+                 o.mapper = mapping::MapperKind::Sequential;
+             }},
+            {"irBackend",
+             [](AimOptions &o) { o.irBackend = power::IrBackendKind::Mesh; }},
+            {"bits", [](AimOptions &o) { o.bits = 4; }},
+            {"workScale",
+             [&](AimOptions &o) { o.workScale = ulp(o.workScale); }},
+            {"seed", [](AimOptions &o) { o.seed = 1234; }},
+            {"useIsa", [](AimOptions &o) { o.useIsa = true; }},
+            {"isaSchedule",
+             [](AimOptions &o) {
+                 o.useIsa = true;
+                 o.isaSchedule = true;
+             }},
+        };
+    for (const auto &[field, edit] : edits) {
+        AimOptions changed = opts;
+        edit(changed);
+        EXPECT_NE(base, ModelCache::key("ResNet18", changed)) << field;
+    }
+
+    // The transient knobs are keyed on the Transient backend only.
+    AimOptions transient = opts;
+    transient.irBackend = power::IrBackendKind::Transient;
+    const auto tkey = ModelCache::key("ResNet18", transient);
+    AimOptions changed = transient;
+    changed.transientDecapNf = ulp(changed.transientDecapNf);
+    EXPECT_NE(tkey, ModelCache::key("ResNet18", changed));
+    changed = transient;
+    changed.transientDtNs = ulp(changed.transientDtNs);
+    EXPECT_NE(tkey, ModelCache::key("ResNet18", changed));
+    changed = opts;
+    changed.transientDecapNf = ulp(changed.transientDecapNf);
+    changed.transientDtNs = ulp(changed.transientDtNs);
+    EXPECT_EQ(base, ModelCache::key("ResNet18", changed));
+
+    // The schedule costs are keyed with isaSchedule only, through
+    // their resolved values: the "derive" sentinel and the explicit
+    // default compile the same program and share one key.
+    AimOptions sched = opts;
+    sched.useIsa = true;
+    sched.isaSchedule = true;
+    const auto skey = ModelCache::key("ResNet18", sched);
+    changed = sched;
+    changed.isaLoadUsPerMword = ulp(kDefaultIsaLoadUsPerMword);
+    EXPECT_NE(skey, ModelCache::key("ResNet18", changed));
+    changed = sched;
+    changed.isaRetuneUs = ulp(kDefaultIsaRetuneUs);
+    EXPECT_NE(skey, ModelCache::key("ResNet18", changed));
+    changed = sched;
+    changed.isaLoadUsPerMword = kDefaultIsaLoadUsPerMword;
+    changed.isaRetuneUs = kDefaultIsaRetuneUs;
+    EXPECT_EQ(skey, ModelCache::key("ResNet18", changed));
+    changed = opts;
+    changed.isaLoadUsPerMword = 3.5;
+    changed.isaRetuneUs = 0.25;
+    EXPECT_EQ(base, ModelCache::key("ResNet18", changed));
 }
 
 TEST(ModelCache, ArtifactHeldAcrossClear)

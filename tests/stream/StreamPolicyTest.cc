@@ -109,14 +109,14 @@ TEST(ChipPool, ActivationControlsDispatchability)
     EXPECT_EQ(pool.activeCount(), 1);
     // deactivateOne takes the highest-id active chip, so chip 0
     // remains the dispatchable one.
-    pool.slot(0).freeAtUs = 10.0;
-    EXPECT_EQ(pool.freeChipAt(5.0), -1);
-    EXPECT_EQ(pool.freeChipAt(10.0), 0);
-    // Inactive chips are invisible even when idle.
-    EXPECT_EQ(pool.slot(2).freeAtUs, 0.0);
+    EXPECT_TRUE(pool.slot(0).active);
+    EXPECT_FALSE(pool.slot(1).active);
+    EXPECT_FALSE(pool.slot(2).active);
     // Growth restores the lowest-id inactive chip first.
     EXPECT_TRUE(pool.activateOne());
-    EXPECT_EQ(pool.freeChipAt(0.0), 1);
+    EXPECT_TRUE(pool.slot(1).active);
+    EXPECT_FALSE(pool.slot(2).active);
+    EXPECT_EQ(pool.activeCount(), 2);
 }
 
 TEST(StreamConfigValidation, ComposesAndChecksStreamKnobs)
