@@ -15,13 +15,17 @@
  * >= 0.95, the mesh backend sustains >= 50% of the analytic
  * windows/sec (the red-black warm re-solves plus batched demand
  * deltas put it well above the old 10% bar), and the transient
- * backend both overshoots its
- * converged DC droop by 3%..60% on a step load and sustains >= 4%
- * of the analytic windows/sec (the CI gate).
+ * backend both overshoots its converged DC droop by 3%..60% on a
+ * step load and sustains >= 50% of the analytic windows/sec (the CI
+ * gate).  The transient speed is matched: both backends run the same
+ * HR-sweep rounds, and the gate takes the median ratio of three
+ * passes (the direct factored step reads ~69-78% on a 4-vCPU Xeon
+ * VM; the 40-sweep SOR step it replaced read 36-41%).
  */
 
 #include "BenchCommon.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -49,15 +53,20 @@ struct BackendRun
     double hostMs = 0.0;
 };
 
+double
+msSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+}
+
 BackendRun
 measure(const AimPipeline &pipe, const CompiledModel &compiled)
 {
     const auto t0 = Clock::now();
     const AimReport rep = pipe.execute(compiled);
     BackendRun out;
-    out.hostMs = std::chrono::duration<double, std::milli>(
-                     Clock::now() - t0)
-                     .count();
+    out.hostMs = msSince(t0);
     out.irMeanMv = rep.run.irMeanMv;
     out.irWorstMv = rep.run.irWorstMv;
     out.meanRtog = rep.run.meanRtog;
@@ -147,9 +156,8 @@ main(int argc, char **argv)
     // rows above, but the transient backend only runs the HR sweep,
     // and pearson() needs the pairing to line up.
     std::vector<double> analytic_sweep_mean;
-    double transient_windows = 0.0;
-    double transient_ms = 0.0;
     const double hr_step = smoke ? 0.10 : 0.05;
+    const long sweep_macs = smoke ? 2'000'000 : 10'000'000;
     for (int k = 0; k < 3; ++k) {
         sim::RunConfig rc;
         rc.mapper = mapping::MapperKind::Sequential;
@@ -159,14 +167,9 @@ main(int argc, char **argv)
         const sim::Runtime rt(cfg, cal, rc);
         for (double hr = 0.20; hr <= 0.601; hr += hr_step) {
             const auto t0 = Clock::now();
-            const auto rep = rt.run(
-                {syntheticRound(hr, 64, smoke ? 2'000'000
-                                              : 10'000'000)},
-                stream);
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    Clock::now() - t0)
-                    .count();
+            const auto rep =
+                rt.run({syntheticRound(hr, 64, sweep_macs)}, stream);
+            const double ms = msSince(t0);
             const double windows = static_cast<double>(
                 rep.usefulWindows + rep.stallWindows);
             if (k == 0) {
@@ -181,11 +184,42 @@ main(int argc, char **argv)
                 mesh_ms += ms;
             } else {
                 transient_sweep_mean.push_back(rep.irMeanMv);
-                transient_windows += windows;
-                transient_ms += ms;
             }
         }
     }
+
+    // Matched transient speed: analytic and transient run the same
+    // HR-sweep rounds, interleaved point by point, and the ratio of
+    // their windows/sec is the median of three passes (one pass is a
+    // few milliseconds of host time, too noisy to gate on alone).
+    std::vector<double> transient_ratios;
+    {
+        sim::RunConfig rc;
+        rc.mapper = mapping::MapperKind::Sequential;
+        rc.irBackend = power::IrBackendKind::Analytic;
+        const sim::Runtime rt_a(cfg, cal, rc);
+        rc.irBackend = power::IrBackendKind::Transient;
+        const sim::Runtime rt_t(cfg, cal, rc);
+        const sim::Runtime *rts[2] = {&rt_a, &rt_t};
+        for (int pass = 0; pass < 3; ++pass) {
+            double windows[2] = {0.0, 0.0};
+            double ms[2] = {0.0, 0.0};
+            for (double hr = 0.20; hr <= 0.601; hr += hr_step) {
+                const auto round = syntheticRound(hr, 64, sweep_macs);
+                for (int b = 0; b < 2; ++b) {
+                    const auto t0 = Clock::now();
+                    const auto rep = rts[b]->run({round}, stream);
+                    ms[b] += msSince(t0);
+                    windows[b] += static_cast<double>(
+                        rep.usefulWindows + rep.stallWindows);
+                }
+            }
+            transient_ratios.push_back((windows[1] / ms[1]) /
+                                       (windows[0] / ms[0]));
+        }
+        std::sort(transient_ratios.begin(), transient_ratios.end());
+    }
+    const double transient_speed_ratio = transient_ratios[1];
 
     // Occupancy: what the mesh sees and Equation 2 cannot.  A
     // quarter-occupied chip (16 tasks -> 4 of 16 groups) draws a
@@ -298,13 +332,8 @@ main(int argc, char **argv)
                           : 0.0;
     const double mesh_wps =
         mesh_ms > 0.0 ? mesh_windows / (mesh_ms / 1e3) : 0.0;
-    const double transient_wps =
-        transient_ms > 0.0 ? transient_windows / (transient_ms / 1e3)
-                           : 0.0;
     const double speed_ratio =
         analytic_wps > 0.0 ? mesh_wps / analytic_wps : 0.0;
-    const double transient_speed_ratio =
-        analytic_wps > 0.0 ? transient_wps / analytic_wps : 0.0;
 
     std::printf("\ndroop correlation (eq2 vs mesh, %zu points): "
                 "r = %.4f\n",
@@ -318,12 +347,15 @@ main(int argc, char **argv)
     std::printf("worst-case |droop delta|: %.2f mV\n",
                 worst_delta_mv);
     std::printf("windows/sec: analytic %.0f, mesh %.0f "
-                "(ratio %.1f%%), transient %.0f (ratio %.1f%%, "
-                "%.0f%% of mesh)\n",
-                analytic_wps, mesh_wps, speed_ratio * 100.0,
-                transient_wps, transient_speed_ratio * 100.0,
-                mesh_wps > 0.0 ? transient_wps / mesh_wps * 100.0
-                               : 0.0);
+                "(ratio %.1f%%)\n",
+                analytic_wps, mesh_wps, speed_ratio * 100.0);
+    std::printf("transient windows/sec on the same HR-sweep rounds: "
+                "%.1f%% of analytic (median of %.1f%% / %.1f%% / "
+                "%.1f%%)\n",
+                transient_speed_ratio * 100.0,
+                transient_ratios[0] * 100.0,
+                transient_ratios[1] * 100.0,
+                transient_ratios[2] * 100.0);
 
     if (smoke) {
         const bool mesh_ok =
@@ -332,12 +364,12 @@ main(int argc, char **argv)
         // transient, not a runaway (< +60%), at a usable cost.
         const bool transient_ok = overshoot_ratio >= 1.03 &&
                                   overshoot_ratio <= 1.60 &&
-                                  transient_speed_ratio >= 0.04;
+                                  transient_speed_ratio >= 0.50;
         std::printf("smoke gate: correlation >= 0.95 and mesh speed "
                     "ratio >= 50%% ... %s\n",
                     mesh_ok ? "PASS" : "FAIL");
         std::printf("smoke gate: transient overshoot in [1.03, "
-                    "1.60] and speed ratio >= 4%% ... %s\n",
+                    "1.60] and matched speed ratio >= 50%% ... %s\n",
                     transient_ok ? "PASS" : "FAIL");
         return mesh_ok && transient_ok ? 0 : 1;
     }

@@ -18,7 +18,9 @@
  *       averages away (paper Figures 4/16/17).
  *
  * Threading contract: an IrBackend is immutable after construction
- * and shared by every concurrent Runtime::run call; all per-round
+ * (the transient backend's per-dt step factors are a lock-guarded
+ * memo of immutable values) and shared by every concurrent
+ * Runtime::run call; all per-round
  * mutable state (warm solutions, applied currents, noise) lives in
  * the IrEval a caller creates per round via newEval().  Evaluating a
  * window consumes the shared round RNG once per active group, in

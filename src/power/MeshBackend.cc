@@ -194,26 +194,6 @@ MeshBackend::groupRects(
     return rects;
 }
 
-double
-MeshBackend::footprintDropMv(const PdnSolution &sol,
-                             const std::vector<Footprint> &rects,
-                             double vdd)
-{
-    double acc = 0.0;
-    long nodes = 0;
-    for (const auto &r : rects)
-        for (int row = r.row0; row < r.row0 + r.rows; ++row)
-            for (int col = r.col0; col < r.col0 + r.cols; ++col) {
-                acc += (vdd -
-                        sol.voltage[static_cast<size_t>(row) *
-                                        sol.size +
-                                    col]) *
-                       1000.0;
-                ++nodes;
-            }
-    return nodes > 0 ? acc / static_cast<double>(nodes) : 0.0;
-}
-
 std::vector<MeshBackend::GroupNodes>
 MeshBackend::groupNodeLists(
     const std::vector<std::vector<Footprint>> &rects) const

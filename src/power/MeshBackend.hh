@@ -104,11 +104,6 @@ class MeshBackend : public IrBackend
     groupRects(const std::vector<std::vector<int>> &activeMacros)
         const;
 
-    /** Mean drop over a group's footprints in a solution [mV]. */
-    static double
-    footprintDropMv(const PdnSolution &sol,
-                    const std::vector<Footprint> &rects, double vdd);
-
     /** Mesh-to-Equation-2 calibration factor. */
     double dynScale() const { return scale; }
 

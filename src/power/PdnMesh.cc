@@ -36,10 +36,9 @@ constexpr int kMaxChunks = 64;
  * where D is the per-node diagonal, N the grid adjacency and g the
  * uniform sheet conductance.  invW = omega / D and oneMinusOmega
  * bake the relaxation into two multiplies per node -- the kernels
- * run division-free.  All three solve paths (red-black DC, transient
- * step, multigrid smoothing on every level) describe themselves as
- * one of these, which is what makes the C=L=0 transient step
- * bit-identical to the warm DC solve: same struct, same kernel.
+ * run division-free.  Both sweep paths (red-black DC solves and
+ * multigrid smoothing on every level) describe themselves as one of
+ * these.
  */
 struct SweepGrid
 {
@@ -187,10 +186,13 @@ runSweeps(const SweepGrid &gr, double *v, exec::ExecPool *pool,
     convOut = residual < tol;
 }
 
-/** Max |KCL residual| of v under (D - g N) v = src, in amps. */
+/**
+ * Max |KCL residual| of v under (D - g N) v = src, in amps; the
+ * per-node residual also lands in @p rf unless it is null.
+ */
 double
 residualMax(int n, double g, const double *v, const double *src,
-            const double *diag)
+            const double *diag, double *rf = nullptr)
 {
     double worst = 0.0;
     for (int r = 0; r < n; ++r)
@@ -205,30 +207,32 @@ residualMax(int n, double g, const double *v, const double *src,
                 acc += g * v[i - 1];
             if (c + 1 < n)
                 acc += g * v[i + 1];
+            if (rf)
+                rf[i] = acc;
             worst = std::max(worst, std::fabs(acc));
         }
     return worst;
 }
 
-/** Per-node KCL residual of v into rf (same sign convention). */
-void
-computeResidual(int n, double g, const double *v, const double *src,
-                const double *diag, double *rf)
+/**
+ * Dot product of two contiguous runs of @p len values, in four
+ * partial sums combined in a fixed order (deterministic, and free of
+ * the single-accumulator latency chain).
+ */
+inline double
+dot(const double *a, const double *b, long len)
 {
-    for (int r = 0; r < n; ++r)
-        for (int c = 0; c < n; ++c) {
-            const size_t i = static_cast<size_t>(r) * n + c;
-            double acc = src[i] - diag[i] * v[i];
-            if (r > 0)
-                acc += g * v[i - n];
-            if (r + 1 < n)
-                acc += g * v[i + n];
-            if (c > 0)
-                acc += g * v[i - 1];
-            if (c + 1 < n)
-                acc += g * v[i + 1];
-            rf[i] = acc;
-        }
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    long k = 0;
+    for (; k + 4 <= len; k += 4) {
+        s0 += a[k] * b[k];
+        s1 += a[k + 1] * b[k + 1];
+        s2 += a[k + 2] * b[k + 2];
+        s3 += a[k + 3] * b[k + 3];
+    }
+    for (; k < len; ++k)
+        s0 += a[k] * b[k];
+    return (s0 + s1) + (s2 + s3);
 }
 
 } // namespace
@@ -292,7 +296,7 @@ PdnMesh::PdnMesh(const PdnMeshConfig &cfg)
     const int n = cfg.size;
     const size_t nn = static_cast<size_t>(n) * n;
     const double g = cfg.sheetConductance;
-    baseDiag.assign(nn, 0.0);
+    dcDiag.assign(nn, 0.0);
     for (int r = 0; r < n; ++r)
         for (int c = 0; c < n; ++c) {
             double gsum = 0.0;
@@ -304,12 +308,11 @@ PdnMesh::PdnMesh(const PdnMeshConfig &cfg)
                 gsum += g;
             if (c + 1 < n)
                 gsum += g;
-            baseDiag[static_cast<size_t>(r) * n + c] = gsum;
+            dcDiag[static_cast<size_t>(r) * n + c] = gsum;
             if (isBump(r, c))
                 bumpIdx.push_back(static_cast<int>(
                     static_cast<size_t>(r) * n + c));
         }
-    dcDiag = baseDiag;
     for (int b : bumpIdx)
         dcDiag[b] += cfg.bumpConductance;
     dcInvW.resize(nn);
@@ -406,34 +409,12 @@ PdnSolution
 PdnMesh::solve(const PdnSolution *warm_start,
                exec::ExecPool *pool) const
 {
-    const int n = cfg.size;
     PdnSolution sol;
-    sol.size = n;
-    const bool warm = warm_start && warm_start->size == n &&
-                      warm_start->voltage.size() ==
-                          static_cast<size_t>(n) * n;
-    if (warm)
+    if (warm_start) {
+        sol.size = warm_start->size;
         sol.voltage = warm_start->voltage;
-    else
-        sol.voltage.assign(static_cast<size_t>(n) * n, cfg.vdd);
-
-    PdnSolverKind kind = cfg.solver;
-    if (kind == PdnSolverKind::Auto)
-        kind = (!warm || n > kRbMaxAutoSize)
-                   ? PdnSolverKind::Multigrid
-                   : PdnSolverKind::RedBlack;
-    switch (kind) {
-    case PdnSolverKind::Lexicographic:
-        solveLexicographic(sol);
-        break;
-    case PdnSolverKind::RedBlack:
-        solveRedBlack(sol, pool);
-        break;
-    default:
-        solveMultigrid(sol, pool);
-        break;
     }
-    finishSolution(sol);
+    resolve(sol, pool);
     return sol;
 }
 
@@ -696,7 +677,7 @@ PdnMesh::mgVCycle(int lvl, double *v, const double *src,
     // Residual -> restrict -> solve the coarse error equation ->
     // prolong the correction back -> post-smooth.
     double *rf = lvl == 0 ? mgRes0.data() : mg[lvl - 1].res.data();
-    computeResidual(n, g, v, src, diag, rf);
+    residualMax(n, g, v, src, diag, rf);
     MgLevel &cl = mg[lvl];
     const int nc = cl.n;
     std::fill(cl.src.begin(), cl.src.end(), 0.0);
@@ -796,11 +777,137 @@ PdnMesh::transientInit(const PdnSolution &dc) const
     return state;
 }
 
+// Backward Euler, branch-implicit:
+//   decap     C dV/dt           ->  gc = C/dt into the diagonal,
+//                                   gc V_prev into the source
+//   bump L    L dI/dt = Vdd - V - I/gb
+//             -> I' = gbe (Vdd + (L/dt) I_prev - V'),
+//                gbe = 1 / (1/gb + L/dt)
+PdnStepFactor::PdnStepFactor(const PdnMeshConfig &cfg, double dt_sec)
+    : n(cfg.size), pitch(cfg.bumpPitch), g(cfg.sheetConductance),
+      gb(cfg.bumpConductance), decap(cfg.decapFarad),
+      bumpL(cfg.bumpInductanceH), dt(dt_sec), gc(decap / dt),
+      lDt(bumpL / dt), gbe(lDt == 0.0 ? gb : 1.0 / (1.0 / gb + lDt))
+{
+    aim_assert(dt_sec > 0.0, "transient step needs dt > 0");
+
+    // The lower band of the matrix: row i holds columns i-n .. i, so
+    // the west link sits at n - 1, the north link at 0 and the
+    // diagonal at n.
+    const long w = n + 1;
+    const long nn = static_cast<long>(n) * n;
+    band.assign(static_cast<size_t>(nn * w), 0.0);
+    for (int r = 0; r < n; ++r)
+        for (int c = 0; c < n; ++c) {
+            double *row =
+                band.data() + (static_cast<long>(r) * n + c) * w;
+            const int links =
+                (r > 0) + (r + 1 < n) + (c > 0) + (c + 1 < n);
+            row[n] = links * g + gc;
+            if (r % pitch == 0 && c % pitch == 0)
+                row[n] += gbe;
+            if (c > 0)
+                row[n - 1] = -g;
+            if (r > 0)
+                row[0] = -g;
+        }
+
+    // In-place banded Cholesky, row by row: L[i][j] = (A[i][j] -
+    // sum_k L[i][k] L[j][k]) / L[j][j] over the band, and the
+    // diagonal slot keeps 1 / L[i][i] so the substitutions multiply.
+    for (long i = 0; i < nn; ++i) {
+        double *li = band.data() + i * w;
+        const long j0 = std::max(0L, i - n);
+        for (long j = j0; j <= i; ++j) {
+            const double *lj = band.data() + j * w;
+            const double s = li[j - i + n] -
+                             dot(li + (j0 - i + n), lj + (j0 - j + n),
+                                 j - j0);
+            if (j < i) {
+                li[j - i + n] = s * lj[n];
+            } else {
+                aim_assert(s > 0.0,
+                           "transient step matrix not positive "
+                           "definite");
+                li[n] = 1.0 / std::sqrt(s);
+            }
+        }
+    }
+}
+
+bool
+PdnStepFactor::matches(const PdnMeshConfig &cfg, double dt_sec) const
+{
+    return cfg.size == n && cfg.bumpPitch == pitch &&
+           cfg.sheetConductance == g && cfg.bumpConductance == gb &&
+           cfg.decapFarad == decap && cfg.bumpInductanceH == bumpL &&
+           dt_sec == dt;
+}
+
+void
+PdnStepFactor::solveInPlace(double *x) const
+{
+    const long w = n + 1;
+    const long nn = static_cast<long>(n) * n;
+    // Forward, L y = b: one band-row dot product per unknown.  The
+    // previous unknown's term is subtracted last, outside the dot,
+    // so the dependency chain from row to row is one multiply-add.
+    x[0] *= band[n];
+    for (long i = 1; i < nn; ++i) {
+        const double *li = band.data() + i * w;
+        const long j0 = std::max(0L, i - n);
+        const double s =
+            x[i] - dot(li + (j0 - i + n), x + j0, i - 1 - j0);
+        x[i] = (s - li[n - 1] * x[i - 1]) * li[n];
+    }
+    // Back, L^T x = y, column-oriented: each solved unknown is
+    // subtracted from the n before it through its own band row, so
+    // both passes stream the factor contiguously.
+    for (long i = nn - 1; i >= 0; --i) {
+        const double *li = band.data() + i * w;
+        const double xi = x[i] * li[n];
+        x[i] = xi;
+        const long j0 = std::max(0L, i - n);
+        const double *lk = li + (j0 - i + n);
+        double *xk = x + j0;
+        for (long k = 0; k < i - j0; ++k)
+            xk[k] -= lk[k] * xi;
+    }
+}
+
 void
 PdnMesh::stepTransient(double dt_sec, PdnTransientState &state) const
 {
-    const int n = cfg.size;
     aim_assert(dt_sec > 0.0, "transient step needs dt > 0");
+    if (cfg.decapFarad != 0.0 || cfg.bumpInductanceH != 0.0) {
+        if (!stepFactor || !stepFactor->matches(cfg, dt_sec))
+            stepFactor.emplace(cfg, dt_sec);
+        stepTransient(*stepFactor, state);
+        return;
+    }
+    // No storage elements: the step is the warm DC solve of the
+    // current loads, and every bump branch carries what its resistor
+    // does at the new voltages.
+    const int n = cfg.size;
+    aim_assert(state.sol.size == n &&
+                   state.sol.voltage.size() ==
+                       static_cast<size_t>(n) * n,
+               "transient state does not match the mesh");
+    aim_assert(state.bumpA.size() == bumpIdx.size(),
+               "transient state bump count");
+    resolve(state.sol);
+    const double *v = state.sol.voltage.data();
+    for (size_t k = 0; k < bumpIdx.size(); ++k)
+        state.bumpA[k] = cfg.bumpConductance * (cfg.vdd - v[bumpIdx[k]]);
+}
+
+void
+PdnMesh::stepTransient(const PdnStepFactor &factor,
+                       PdnTransientState &state) const
+{
+    const int n = cfg.size;
+    aim_assert(factor.matches(cfg, factor.dtSec()),
+               "step factor of another mesh");
     aim_assert(state.sol.size == n &&
                    state.sol.voltage.size() ==
                        static_cast<size_t>(n) * n,
@@ -808,247 +915,41 @@ PdnMesh::stepTransient(double dt_sec, PdnTransientState &state) const
     aim_assert(state.bumpA.size() == bumpIdx.size(),
                "transient state bump count");
 
-    if (cfg.solver == PdnSolverKind::Lexicographic) {
-        stepTransientLexicographic(dt_sec, state);
-        return;
-    }
-
+    // The right-hand side overwrites the previous voltages in place:
+    // gc V_prev - I_load at every node plus the per-bump history
+    // source gbe (Vdd + (L/dt) I_prev); the factor then turns it
+    // into the new voltages.
+    const double gc = factor.decapS();
+    const double gbe = factor.bumpS();
+    const double l_dt = factor.lOverDt();
+    double *v = state.sol.voltage.data();
     const size_t nn = static_cast<size_t>(n) * n;
-    const double gb = cfg.bumpConductance;
-    // Backward Euler, branch-implicit:
-    //   decap     C dV/dt           ->  gc = C/dt into the diagonal,
-    //                                   gc V_prev into the source
-    //   bump L    L dI/dt = Vdd - V - I/gb
-    //             -> I' = gbe (Vdd + (L/dt) I_prev - V'),
-    //                gbe = 1 / (1/gb + L/dt)
-    // so the step is one SOR solve of a network whose diagonal only
-    // grew -- unconditionally stable for any dt.  With no storage
-    // elements (gc == l_dt == 0) the step must be the warm DC solve
-    // bit for bit, so that case runs on the DC diagonal arrays and
-    // the DC source expression rather than trusting +0.0 terms to
-    // vanish.
-    const double gc = cfg.decapFarad / dt_sec;
-    const double l_dt = cfg.bumpInductanceH / dt_sec;
-    const double gbe =
-        l_dt == 0.0 ? gb : 1.0 / (1.0 / gb + l_dt);
-    const bool storageless = gc == 0.0 && l_dt == 0.0;
-
-    const double *diag;
-    const double *invW;
-    if (storageless) {
-        diag = dcDiag.data();
-        invW = dcInvW.data();
-    } else {
-        // dt is constant across a backend round, so the diagonal and
-        // its reciprocal are cached in the state and rebuilt only
-        // when dt changes: the per-window step pays zero divisions.
-        if (state.cachedDtSec != dt_sec) {
-            state.diag.resize(nn);
-            state.invW.resize(nn);
-            for (size_t i = 0; i < nn; ++i)
-                state.diag[i] = baseDiag[i] + gc;
-            for (int b : bumpIdx)
-                state.diag[b] += gbe;
-            for (size_t i = 0; i < nn; ++i)
-                state.invW[i] = cfg.omega / state.diag[i];
-            state.cachedDtSec = dt_sec;
-        }
-        diag = state.diag.data();
-        invW = state.invW.data();
-    }
-
-    // The previous step's voltages freeze into the scratch buffer
-    // and the solution evolves in place (it already holds the warm
-    // start): this is the backend's every-window hot loop, so the
-    // step reuses the state's scratch capacity instead of paying
-    // per-window heap traffic.
-    state.prevVoltage.assign(state.sol.voltage.begin(),
-                             state.sol.voltage.end());
-    const double *vp = state.prevVoltage.data();
-
-    state.src.resize(nn);
-    if (storageless) {
-        for (size_t i = 0; i < nn; ++i)
-            state.src[i] = -loadA[i];
-    } else {
-        for (size_t i = 0; i < nn; ++i)
-            state.src[i] = gc * vp[i] - loadA[i];
-    }
-    // Per-bump history source gbe (Vdd + (L/dt) I_prev); with l_dt
-    // == 0 this is exactly the DC bump injection gb * Vdd.
-    {
-        size_t k = 0;
-        for (int b : bumpIdx) {
-            state.src[b] +=
-                gbe * (cfg.vdd + l_dt * state.bumpA[k]);
-            ++k;
-        }
-    }
-
-    const SweepGrid gr{n,
-                       cfg.sheetConductance,
-                       1.0 - cfg.omega,
-                       state.src.data(),
-                       diag,
-                       invW};
-    runSweeps(gr, state.sol.voltage.data(), nullptr,
-              cfg.maxIterations, cfg.tolerance, state.sol.iterations,
-              state.sol.residual, state.sol.converged);
+    for (size_t i = 0; i < nn; ++i)
+        v[i] = gc * v[i] - loadA[i];
+    for (size_t k = 0; k < bumpIdx.size(); ++k)
+        v[bumpIdx[k]] += gbe * (cfg.vdd + l_dt * state.bumpA[k]);
+    factor.solveInPlace(v);
+    state.sol.iterations = 0;
+    state.sol.residual = 0.0;
+    state.sol.converged = true;
 
     // Branch update + bump observables from the implicit equations,
     // so the reported current is consistent with the step just taken
     // (total bump charge balances load charge plus decap charge).
-    const double *v = state.sol.voltage.data();
     double current = 0.0;
     double v_acc = 0.0;
-    size_t k = 0;
-    for (int b : bumpIdx) {
-        const double node_v = v[b];
+    for (size_t k = 0; k < bumpIdx.size(); ++k) {
+        const double node_v = v[bumpIdx[k]];
         const double i_new =
             gbe * (cfg.vdd + l_dt * state.bumpA[k] - node_v);
         state.bumpA[k] = i_new;
         current += i_new;
         v_acc += node_v;
-        ++k;
     }
     state.sol.bumpCurrentA = current;
     state.sol.bumpVoltage =
-        k > 0 ? v_acc / static_cast<double>(k) : cfg.vdd;
-}
-
-void
-PdnMesh::stepTransientLexicographic(double dt_sec,
-                                    PdnTransientState &state) const
-{
-    const int n = cfg.size;
-    const double g = cfg.sheetConductance;
-    const double gb = cfg.bumpConductance;
-    // The seed's single-order transient step, kept bit-for-bit so
-    // PdnSolverKind::Lexicographic reproduces the pre-red-black
-    // simulator exactly (same discretization as stepTransient above).
-    const double gc = cfg.decapFarad / dt_sec;
-    const double l_dt = cfg.bumpInductanceH / dt_sec;
-    const double gbe = 1.0 / (1.0 / gb + l_dt);
-
-    state.prevVoltage.assign(state.sol.voltage.begin(),
-                             state.sol.voltage.end());
-
-    // Per-bump history source gbe (Vdd + (L/dt) I_prev), flattened
-    // to the node index for the sweeps.
-    state.src.assign(static_cast<size_t>(n) * n, 0.0);
-    {
-        size_t k = 0;
-        for (int b : bumpIdx) {
-            state.src[b] = gbe * (cfg.vdd + l_dt * state.bumpA[k]);
-            ++k;
-        }
-    }
-
-    // SOR sweeps, same shape as solveLexicographic(): interior fast
-    // path without boundary branches, identical accumulation order
-    // on the general path.  Every node additionally carries the
-    // decap conductance and history source; bump nodes swap gb for
-    // gbe + history.
-    const double g4 = ((g + g) + g) + g;
-    double *v = state.sol.voltage.data();
-    const double *load = loadA.data();
-    const double *vp = state.prevVoltage.data();
-    const double *bs = state.src.data();
-    auto update = [&](int r, int c, double &residual) {
-        const size_t i = static_cast<size_t>(r) * n + c;
-        double gsum = gc;
-        double isum = gc * vp[i] - load[i];
-        if (r > 0) {
-            gsum += g;
-            isum += g * v[i - n];
-        }
-        if (r + 1 < n) {
-            gsum += g;
-            isum += g * v[i + n];
-        }
-        if (c > 0) {
-            gsum += g;
-            isum += g * v[i - 1];
-        }
-        if (c + 1 < n) {
-            gsum += g;
-            isum += g * v[i + 1];
-        }
-        if (isBump(r, c)) {
-            gsum += gbe;
-            isum += bs[i];
-        }
-        double &v_old = v[i];
-        const double v_sor =
-            v_old + cfg.omega * (isum / gsum - v_old);
-        residual =
-            std::max(residual, std::fabs(gsum * (v_sor - v_old)));
-        v_old = v_sor;
-    };
-    double residual = 0.0;
-    int iter = 0;
-    for (; iter < cfg.maxIterations; ++iter) {
-        residual = 0.0;
-        for (int r = 0; r < n; ++r) {
-            const bool interior_row = r > 0 && r + 1 < n;
-            if (!interior_row) {
-                for (int c = 0; c < n; ++c)
-                    update(r, c, residual);
-                continue;
-            }
-            double *row = v + static_cast<size_t>(r) * n;
-            const double *up = row - n;
-            const double *down = row + n;
-            const double *ld = load + static_cast<size_t>(r) * n;
-            const double *pv = vp + static_cast<size_t>(r) * n;
-            const double *src = bs + static_cast<size_t>(r) * n;
-            const bool bump_row = r % cfg.bumpPitch == 0;
-            update(r, 0, residual);
-            for (int c = 1; c + 1 < n; ++c) {
-                const bool bump =
-                    bump_row && c % cfg.bumpPitch == 0;
-                double isum = gc * pv[c] - ld[c];
-                isum += g * up[c];
-                isum += g * down[c];
-                isum += g * row[c - 1];
-                isum += g * row[c + 1];
-                double gsum = g4 + gc;
-                if (bump) {
-                    gsum += gbe;
-                    isum += src[c];
-                }
-                const double v_old = row[c];
-                const double v_sor =
-                    v_old + cfg.omega * (isum / gsum - v_old);
-                residual = std::max(
-                    residual, std::fabs(gsum * (v_sor - v_old)));
-                row[c] = v_sor;
-            }
-            update(r, n - 1, residual);
-        }
-        if (residual < cfg.tolerance)
-            break;
-    }
-    state.sol.iterations = iter;
-    state.sol.residual = residual;
-    state.sol.converged = residual < cfg.tolerance;
-
-    // Branch update + bump observables from the implicit equations.
-    double current = 0.0;
-    double v_acc = 0.0;
-    size_t k = 0;
-    for (int b : bumpIdx) {
-        const double node_v = v[b];
-        const double i_new =
-            gbe * (cfg.vdd + l_dt * state.bumpA[k] - node_v);
-        state.bumpA[k] = i_new;
-        current += i_new;
-        v_acc += node_v;
-        ++k;
-    }
-    state.sol.bumpCurrentA = current;
-    state.sol.bumpVoltage =
-        k > 0 ? v_acc / static_cast<double>(k) : cfg.vdd;
+        bumpIdx.empty() ? cfg.vdd
+                        : v_acc / static_cast<double>(bumpIdx.size());
 }
 
 } // namespace aim::power

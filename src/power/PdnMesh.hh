@@ -10,18 +10,23 @@
  * their footprint nodes.  Solving Kirchhoff's current law yields the
  * on-die voltage map; IR-drop is VDD minus that map.
  *
- * Three solve paths share one sweep kernel (see PdnSolverKind):
- * red-black ordered SOR (the default for warm incremental re-solves:
- * two data-independent half-sweeps, parallelizable over
- * exec::ExecPool with bit-identical results at any thread count), a
- * geometric-multigrid V-cycle (cold solves and large meshes), and
- * the seed's lexicographic SOR kept as the reference ordering the
- * property suite compares against (tests/power/SolverPropertyTest).
+ * The three DC solve paths share one sweep kernel (see
+ * PdnSolverKind): red-black ordered SOR (the default for warm
+ * incremental re-solves: two data-independent half-sweeps,
+ * parallelizable over exec::ExecPool with bit-identical results at
+ * any thread count), a geometric-multigrid V-cycle (cold solves and
+ * large meshes), and the seed's lexicographic SOR kept as the
+ * reference ordering the property suite compares against
+ * (tests/power/SolverPropertyTest).  The transient step with decap
+ * or bump inductance is a direct solve instead: its matrix depends
+ * only on geometry, storage and dt, so it is factored once
+ * (PdnStepFactor) and every step is two triangular substitutions.
  */
 
 #ifndef AIM_POWER_PDNMESH_HH
 #define AIM_POWER_PDNMESH_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,11 +75,11 @@ struct PdnMeshConfig
     double omega = 1.88;
     /**
      * Convergence threshold on the max KCL residual [A].  The single
-     * tolerance constant every solve path gates on -- SOR sweeps,
-     * the multigrid outer loop and its coarsest-level solve, and
-     * transient steps; PdnSolution::converged reports the outcome so
-     * callers (the droop backends' quiet-window guard) never
-     * re-derive it.
+     * tolerance constant every iterative solve path gates on -- SOR
+     * sweeps and the multigrid outer loop and its coarsest-level
+     * solve (the direct transient step needs none);
+     * PdnSolution::converged reports the outcome so callers (the
+     * droop backends' quiet-window guard) never re-derive it.
      */
     double tolerance = 1e-7;
     /** Iteration cap: SOR sweeps, or V-cycles on the multigrid path. */
@@ -138,34 +143,72 @@ struct PdnLoadDelta
  * Transient (RC + bump-L) state advanced by PdnMesh::stepTransient:
  * the node-voltage map of the last accepted step plus the inductor
  * current of every bump branch (row-major bump order).  Seed it from
- * a DC solution with PdnMesh::transientInit.
+ * a DC solution with PdnMesh::transientInit.  The state holds no
+ * solver data -- the step's factor belongs to the mesh or backend
+ * that steps it -- so it can move between meshes of one geometry.
  */
 struct PdnTransientState
 {
-    /** Node voltages at the last step (doubles as the warm start). */
+    /** Node voltages at the last step. */
     PdnSolution sol;
     /** Bump-branch inductor currents [A], row-major over bumps. */
     std::vector<double> bumpA;
+};
+
+/**
+ * The backward-Euler step matrix of one (geometry, decap, bump L,
+ * dt), factored once.  The matrix is the nodal diagonal (neighbour
+ * links + decap conductance C/dt, plus the effective bump
+ * conductance 1/(1/gb + L/dt) on bump nodes) minus the sheet
+ * conductance on every grid link: symmetric positive definite with
+ * half-bandwidth `size` in row-major node order.  Its banded
+ * Cholesky factor holds size^2 x (size + 1) doubles, and a step is
+ * one forward and one back substitution -- no iteration, exact up to
+ * rounding.  Immutable once built, so one factor is shared read-only
+ * by every mesh and thread that steps the same system.
+ */
+class PdnStepFactor
+{
+  public:
+    /** Factor the step matrix of @p cfg at step @p dtSec (> 0). */
+    PdnStepFactor(const PdnMeshConfig &cfg, double dtSec);
 
     /**
-     * Scratch of stepTransient (previous-step voltages, dense source
-     * vector, dt-cached diagonal and its scaled reciprocal), kept
-     * here so the every-window step allocates nothing after its
-     * first call.  Contents are meaningless between calls except the
-     * diagonal cache, which stepTransient rebuilds whenever dt
-     * changes.
+     * True when this factor was built from @p cfg's matrix at
+     * @p dtSec: size, bump pitch, sheet and bump conductance, decap,
+     * bump inductance and dt all equal.
      */
-    std::vector<double> prevVoltage;
-    std::vector<double> src;
-    std::vector<double> diag;
-    std::vector<double> invW;
-    double cachedDtSec = -1.0;
+    bool matches(const PdnMeshConfig &cfg, double dtSec) const;
+
+    double dtSec() const { return dt; }
+    /** Decap conductance C/dt of every node [S]. */
+    double decapS() const { return gc; }
+    /** Effective bump-branch conductance 1/(1/gb + L/dt) [S]. */
+    double bumpS() const { return gbe; }
+    /** Bump-branch L/dt [ohm]. */
+    double lOverDt() const { return lDt; }
+
+    /** Overwrite @p rhs (size^2 values) with the step's solution. */
+    void solveInPlace(double *rhs) const;
+
+  private:
+    // The matrix inputs (what matches() compares), then the step
+    // coefficients derived from them.
+    int n, pitch;
+    double g, gb, decap, bumpL, dt;
+    double gc, lDt, gbe;
+    /**
+     * Row i of the lower factor L at [i * (n + 1), (i + 1) * (n + 1)):
+     * L[i][i - n .. i - 1], then 1 / L[i][i].
+     */
+    std::vector<double> band;
 };
 
 /**
  * PDN mesh solver.  Immutable geometry (conductances, bumps and the
  * precomputed nodal diagonals) with a mutable load set.  The solve
- * methods reuse internal scratch buffers, so concurrent solve()
+ * methods reuse internal scratch buffers (and stepTransient caches
+ * its factors in the mesh), so concurrent solve() or stepTransient()
  * calls on ONE instance race -- callers that parallelize hold one
  * mesh per worker (the droop backends already hold one per
  * round-eval); a single solve may itself fan out over an
@@ -250,20 +293,30 @@ class PdnMesh
 
     /**
      * Advance the RC/RL network one backward-Euler step of @p dtSec
-     * seconds from @p state (which doubles as the warm start) under
-     * the current load set, in place.
+     * seconds from @p state under the current load set, in place.
      *
      * Branch-implicit discretization: the bump inductor current is
      * eliminated into the nodal system (an effective bump conductance
      * 1/(1/gb + L/dt) plus a history source), and every node gains a
-     * decap conductance C/dt with a C/dt * V_prev history source, so
-     * the step is one diagonally-dominant SOR solve -- unconditionally
-     * stable at any dt.  With decapFarad == 0 and bumpInductanceH ==
-     * 0 (or dt -> infinity) the step *is* the warm-started DC solve,
-     * bit for bit: both run the same sweep kernel in the same order
-     * (red-black, or lexicographic when the config says so).
+     * decap conductance C/dt with a C/dt * V_prev history source --
+     * unconditionally stable at any dt.  The step solves these
+     * implicit equations directly through the mesh's PdnStepFactor
+     * for @p dtSec, built on first use and rebuilt whenever an input
+     * of the matrix changes (the mesh keeps one); the factor is bound
+     * to this mesh, never to @p state.  The step reports 0
+     * iterations, residual 0 and converged.  With decapFarad == 0 and bumpInductanceH == 0 the
+     * step *is* the warm-started DC solve (resolve), bit for bit.
      */
     void stepTransient(double dtSec, PdnTransientState &state) const;
+
+    /**
+     * The same storage step through a caller-held factor of this
+     * mesh's matrix (fatal on a factor of another geometry or
+     * storage): the transient backend's path, where one factor
+     * serves every round's mesh.
+     */
+    void stepTransient(const PdnStepFactor &factor,
+                       PdnTransientState &state) const;
 
     /**
      * Max |KCL residual| of @p sol under the current load set [A] --
@@ -306,9 +359,6 @@ class PdnMesh
     void solveLexicographic(PdnSolution &sol) const;
     void solveRedBlack(PdnSolution &sol, exec::ExecPool *pool) const;
     void solveMultigrid(PdnSolution &sol, exec::ExecPool *pool) const;
-    /** Seed-order SOR transient step (reference path). */
-    void stepTransientLexicographic(double dtSec,
-                                    PdnTransientState &state) const;
     /** Fill srcScratch with the DC source vector (loads + bumps). */
     void buildDcSource() const;
     /** Bump observables of a finished solve. */
@@ -324,11 +374,10 @@ class PdnMesh
     std::vector<double> loadA;
 
     // Geometry precomputed at construction: flat bump indices
-    // (row-major), the neighbour-link diagonal, the DC diagonal
-    // (+bump conductance) and its omega-scaled reciprocal -- the
-    // sweep kernels run division-free.
+    // (row-major), the DC diagonal (neighbour links + bump
+    // conductance) and its omega-scaled reciprocal -- the sweep
+    // kernels run division-free.
     std::vector<int> bumpIdx;
-    std::vector<double> baseDiag;
     std::vector<double> dcDiag;
     std::vector<double> dcInvW;
     /** Finest-level multigrid smoother reciprocal (kMgOmega/diag). */
@@ -338,6 +387,8 @@ class PdnMesh
     mutable std::vector<double> srcScratch;
     mutable std::vector<double> mgRes0;
     mutable std::vector<MgLevel> mg; ///< coarse levels, finest first
+    /** Factor of the last standalone stepTransient(dt, state). */
+    mutable std::optional<PdnStepFactor> stepFactor;
 };
 
 } // namespace aim::power

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "util/Logging.hh"
 
@@ -9,14 +10,7 @@ namespace aim::power
 {
 
 /**
- * Per-round transient evaluator: the RC/RL state (node voltages +
- * bump inductor currents) advanced one implicit-Euler step per
- * window.  Unlike MeshEval there is no dirty-window gating -- time
- * advances every window whether or not the demand moved, which is
- * exactly what lets a constant demand relax onto the DC solution and
- * a demand step excite the first-droop transient.
- */
-/** The transient backend's exportable electrical state: the RC/RL
+ * The transient backend's exportable electrical state: the RC/RL
  * snapshot (node voltages + bump inductor currents) of a settled
  * round.  Loads are not carried -- the next round re-injects its own
  * demand as a delta from zero, which the carried bump currents
@@ -30,6 +24,15 @@ struct TransientIrState final : IrState
     PdnTransientState state;
 };
 
+/**
+ * Per-round transient evaluator: the RC/RL state (node voltages +
+ * bump inductor currents) advanced one implicit-Euler step per
+ * window through the backend's shared step factor.  Unlike MeshEval
+ * there is no dirty-window gating -- time advances every window
+ * whether or not the demand moved, which is exactly what lets a
+ * constant demand relax onto the DC solution and a demand step
+ * excite the first-droop transient.
+ */
 class TransientEval final : public IrEval
 {
   public:
@@ -45,21 +48,21 @@ class TransientEval final : public IrEval
         appliedA.assign(groups, 0.0);
         for (size_t g = 0; g < groups; ++g)
             activeCount[g] = static_cast<int>(rects[g].size());
-        if (seed) {
+        // Cold start: the construction-time full-activity DC point
+        // (the same seed MeshEval warm-starts from) with the load set
+        // empty -- the first windows inject the round's actual
+        // demand and the RC state physically relaxes onto it, as if
+        // the chip came out of a heavy phase.
+        state = mesh.transientInit(bk.baselineSol);
+        if (seed && seed->state.sol.size == state.sol.size &&
+            seed->state.bumpA.size() == state.bumpA.size()) {
             // Burst continuity: start from the settled state the
             // previous request on this chip exported.  The voltages
             // and bump currents already reflect real recent load, so
             // the first windows see where the supply actually is,
-            // not a synthetic heavy phase.
+            // not a synthetic heavy phase.  Only voltages and
+            // currents travel: the step system is this backend's.
             state = seed->state;
-        } else {
-            // Seed the electrical state from the construction-time
-            // full-activity DC point (the same seed MeshEval
-            // warm-starts from) with the load set empty: the first
-            // windows inject the round's actual demand and the RC
-            // state physically relaxes onto it, as if the chip came
-            // out of a heavy phase.
-            state = mesh.transientInit(bk.baselineSol);
         }
     }
 
@@ -104,7 +107,10 @@ class TransientEval final : public IrEval
         for (const GroupWindow &gw : groups)
             if (gw.active)
                 f_max = std::max(f_max, gw.fGhz);
-        mesh.stepTransient(bk.effectiveDtSec(f_max), state);
+        const double dt = bk.effectiveDtSec(f_max);
+        if (!factor || factor->dtSec() != dt)
+            factor = &bk.stepFactor(dt);
+        mesh.stepTransient(*factor, state);
 
         for (size_t g = 0; g < groups.size(); ++g) {
             const GroupWindow &gw = groups[g];
@@ -126,6 +132,8 @@ class TransientEval final : public IrEval
   private:
     const TransientBackend &bk;
     PdnMesh mesh;
+    /** The backend's factor at the last window's dt. */
+    const PdnStepFactor *factor = nullptr;
     PdnTransientState state;
     std::vector<MeshBackend::GroupNodes> groupNodes;
     std::vector<PdnLoadDelta> pendingDeltas;
@@ -149,14 +157,18 @@ TransientBackend::TransientBackend(const IrBackendConfig &cfg,
     transCfg = warmCfg;
     transCfg.decapFarad = cfg.transientDecapNf * 1e-9;
     transCfg.bumpInductanceH = cfg.transientBumpPh * 1e-12;
-    // The decap conductance C/dt dominates the diagonal, so the
-    // implicit step converges in a handful of sweeps even from a
-    // poor guess; a cap well above the warm-solve budget keeps the
-    // step's charge accounting tight without a cold-solve cost.
-    transCfg.maxIterations = 40;
     autoDt = cfg.transientDtNs == 0.0;
     winCycles = cfg.windowCycles;
     stepSec = autoDt ? 0.0 : cfg.transientDtNs * 1e-9;
+    if (!autoDt)
+        stepFactor(stepSec);
+}
+
+const PdnStepFactor &
+TransientBackend::stepFactor(double dt_sec) const
+{
+    std::lock_guard<std::mutex> lock(factorMutex);
+    return factors.try_emplace(dt_sec, transCfg, dt_sec).first->second;
 }
 
 double

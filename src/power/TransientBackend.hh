@@ -17,6 +17,12 @@
  * decap and inductance at zero (or dt -> infinity) every step *is*
  * the DC solve.
  *
+ * The step's matrix depends only on the mesh, its storage elements
+ * and dt, so the backend factors it once per dt (PdnStepFactor) and
+ * every round's evaluator shares that immutable factor: a window
+ * costs two triangular substitutions, with no iteration and no
+ * convergence cap.
+ *
  * Everything except the per-window step is inherited from
  * MeshBackend: the macro footprint mapping, the cold full-activity
  * solve and the Equation-2 anchor calibration (so all three backends
@@ -26,6 +32,9 @@
 
 #ifndef AIM_POWER_TRANSIENTBACKEND_HH
 #define AIM_POWER_TRANSIENTBACKEND_HH
+
+#include <map>
+#include <mutex>
 
 #include "power/MeshBackend.hh"
 
@@ -41,7 +50,8 @@ class TransientBackend final : public MeshBackend
     /**
      * Pays MeshBackend's cold full-activity solve, then derives the
      * transient mesh config (decap, bump inductance, step) from
-     * IrBackendConfig's transient* fields.
+     * IrBackendConfig's transient* fields and, at a fixed step,
+     * factors the step matrix.
      */
     TransientBackend(const IrBackendConfig &cfg,
                      const Calibration &cal);
@@ -61,8 +71,11 @@ class TransientBackend final : public MeshBackend
      * (TransientEval::exportState): the node voltages and bump
      * currents start where the last request on this chip left them,
      * so a back-to-back burst sees electrical continuity instead of
-     * the cold full-activity DC re-init.  Null or foreign seeds fall
-     * back to the cold path bit-identically.
+     * the cold full-activity DC re-init.  A seed carries no solver
+     * data, so one exported by another backend of the same mesh
+     * geometry steps on this backend's own system.  Null or foreign
+     * seeds, and seeds of another mesh geometry, fall back to the
+     * cold path bit-identically.
      */
     std::unique_ptr<IrEval>
     newEval(const std::vector<std::vector<int>> &activeMacros,
@@ -88,10 +101,23 @@ class TransientBackend final : public MeshBackend
   private:
     friend class TransientEval;
 
+    /**
+     * The factored step matrix at @p dtSec, built on first use and
+     * kept for the backend's lifetime (thread-safe).  A fixed-dt
+     * backend builds its one factor at construction; in auto-dt mode
+     * there is one per distinct window clock, i.e. per V-f grid
+     * frequency the booster visits.
+     */
+    const PdnStepFactor &stepFactor(double dtSec) const;
+
     PdnMeshConfig transCfg;
     double stepSec = 2e-9;
     bool autoDt = false;
     int winCycles = 8;
+    mutable std::mutex factorMutex;
+    /** Step factors by dt; map nodes never move, so references to
+     *  them stay valid for the backend's lifetime. */
+    mutable std::map<double, PdnStepFactor> factors;
 };
 
 } // namespace aim::power

@@ -5,7 +5,9 @@
  * physics contract on randomized meshes, the new orderings must
  * agree with the seed's lexicographic reference at solver tolerance,
  * the parallel red-black path must be bit-identical at every thread
- * count, and the new default path is pinned by %.17g goldens.
+ * count, and the new default path is pinned by %.17g goldens.  The
+ * direct transient step must satisfy its implicit KCL at every node
+ * on randomized meshes, storage and step sizes.
  *
  * Carries the ctest label "solver" (see CMakeLists) so CI lanes can
  * run it explicitly with `ctest -L solver`.
@@ -13,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "exec/ExecPool.hh"
@@ -245,6 +249,89 @@ TEST(SolverProperty, TransientStepIsRbDcSolveWithoutStorage)
         ASSERT_EQ(state.sol.voltage[i], warm.voltage[i]);
     EXPECT_EQ(state.sol.iterations, warm.iterations);
     EXPECT_EQ(state.sol.bumpCurrentA, warm.bumpCurrentA);
+}
+
+TEST(SolverProperty, TransientStepSatisfiesImplicitKcl)
+{
+    // The storage step solves the backward-Euler equations outright:
+    // at every node, decap current + load + sheet currents out equal
+    // the bump branch's current in, with the branch current obeying
+    // L dI/dt = Vdd - V - I/gb over the step.  Randomized meshes,
+    // storage and loads; dt is redrawn every step from a small set,
+    // so each mesh both rebuilds its factor and reuses it.
+    std::mt19937_64 rng(4242);
+    std::uniform_real_distribution<double> decap_nf(1.0, 40.0);
+    std::uniform_real_distribution<double> bump_ph(0.0, 400.0);
+    std::uniform_real_distribution<double> delta_a(-0.5, 0.5);
+    const double dts[] = {0.5e-9, 1e-9, 2e-9, 4e-9};
+    for (int trial = 0; trial < 8; ++trial) {
+        RandomProblem p = randomProblem(rng);
+        p.cfg.decapFarad = decap_nf(rng) * 1e-9;
+        p.cfg.bumpInductanceH = bump_ph(rng) * 1e-12;
+        const int n = p.cfg.size;
+        const double g = p.cfg.sheetConductance;
+        const double gb = p.cfg.bumpConductance;
+        const double vdd = p.cfg.vdd;
+
+        PdnMesh mesh(p.cfg);
+        std::vector<double> load(static_cast<size_t>(n) * n, 0.0);
+        auto add_block = [&](const RandomProblem::Load &ld,
+                             double amps) {
+            std::vector<PdnLoadDelta> deltas;
+            const double per_node = amps / (ld.rows * ld.cols);
+            for (int r = ld.row0; r < ld.row0 + ld.rows; ++r)
+                for (int c = ld.col0; c < ld.col0 + ld.cols; ++c) {
+                    deltas.push_back({mesh.nodeIndex(r, c), per_node});
+                    load[mesh.nodeIndex(r, c)] += per_node;
+                }
+            mesh.applyLoadDeltas(deltas);
+        };
+        for (const auto &ld : p.loads)
+            add_block(ld, ld.amps);
+        PdnTransientState state = mesh.transientInit(mesh.solve());
+
+        for (int step = 0; step < 12; ++step) {
+            const auto &ld = p.loads[rng() % p.loads.size()];
+            add_block(ld, delta_a(rng));
+            const double dt = dts[rng() % 4];
+            const std::vector<double> vp = state.sol.voltage;
+            const std::vector<double> ip = state.bumpA;
+            mesh.stepTransient(dt, state);
+
+            const std::vector<double> &v = state.sol.voltage;
+            const double gc = p.cfg.decapFarad / dt;
+            const double l_dt = p.cfg.bumpInductanceH / dt;
+            double worst = 0.0;
+            size_t k = 0;
+            for (int r = 0; r < n; ++r)
+                for (int c = 0; c < n; ++c) {
+                    const size_t i = mesh.nodeIndex(r, c);
+                    double out = gc * (v[i] - vp[i]) + load[i];
+                    if (r > 0)
+                        out += g * (v[i] - v[i - n]);
+                    if (r + 1 < n)
+                        out += g * (v[i] - v[i + n]);
+                    if (c > 0)
+                        out += g * (v[i] - v[i - 1]);
+                    if (c + 1 < n)
+                        out += g * (v[i] - v[i + 1]);
+                    if (mesh.isBump(r, c)) {
+                        // L (I - I_prev)/dt = Vdd - V - I/gb.
+                        const double i_bump =
+                            (vdd - v[i] + l_dt * ip[k]) /
+                            (l_dt + 1.0 / gb);
+                        EXPECT_NEAR(state.bumpA[k], i_bump, 1e-9)
+                            << "trial " << trial << " bump " << k;
+                        out -= i_bump;
+                        ++k;
+                    }
+                    worst = std::max(worst, std::fabs(out));
+                }
+            EXPECT_LE(worst, 1e-9)
+                << "trial " << trial << " step " << step << " size "
+                << n << " dt " << dt;
+        }
+    }
 }
 
 TEST(SolverProperty, ApplyLoadDeltasMatchesBlockLoads)

@@ -4,14 +4,16 @@
  * step behind the di/dt Transient droop backend: unconditional
  * stability at any dt, degeneration to the resistive DC solve as the
  * storage elements vanish, charge conservation over a step-load
- * trace, and the first-droop overshoot the bump inductance exists to
- * produce.
+ * trace (also at the transient backend's own config), a state moved
+ * between meshes stepping on the new mesh's system, and the
+ * first-droop overshoot the bump inductance exists to produce.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "power/PdnMesh.hh"
 #include "power/TransientBackend.hh"
@@ -141,35 +143,71 @@ TEST(TransientMesh, ChargeConservedOverStepLoadTrace)
 {
     // Summing the implicit KCL over all nodes and steps: the charge
     // delivered through the bumps equals the charge drawn by the
-    // loads plus the charge (dis)charged into the decaps.
-    PdnMeshConfig cfg = transientMesh();
-    cfg.tolerance = 1e-10;
-    cfg.maxIterations = 20000;
-    PdnMesh mesh(cfg);
-    PdnTransientState state = mesh.transientInit(mesh.solve());
-    const double v_start = sumVoltage(state.sol);
-    const double dt = 2e-9;
+    // loads plus the charge (dis)charged into the decaps.  Two
+    // inputs: a mesh whose solver tolerance is tightened far below
+    // the default, and the transient backend's own per-window config
+    // and step -- the accounting must hold at the config that runs.
+    PdnMeshConfig tight = transientMesh();
+    tight.tolerance = 1e-10;
+    tight.maxIterations = 20000;
+    IrBackendConfig bcfg;
+    bcfg.kind = IrBackendKind::Transient;
+    const TransientBackend bk(bcfg, defaultCalibration());
+    const std::pair<PdnMeshConfig, double> inputs[] = {
+        {tight, 2e-9}, {bk.transientConfig(), bk.dtSec()}};
 
-    double bump_charge = 0.0;
-    double load_charge = 0.0;
-    const int steps_per_phase = 40;
-    const double loads[] = {3.0, 0.5, 5.0};
-    for (double load : loads) {
-        mesh.clearLoads();
-        mesh.addBlockLoad(2, 2, 12, 12, load);
-        for (int s = 0; s < steps_per_phase; ++s) {
-            mesh.stepTransient(dt, state);
-            bump_charge += state.sol.bumpCurrentA * dt;
-            load_charge += load * dt;
+    for (const auto &[cfg, dt] : inputs) {
+        PdnMesh mesh(cfg);
+        PdnTransientState state = mesh.transientInit(mesh.solve());
+        const double v_start = sumVoltage(state.sol);
+
+        double bump_charge = 0.0;
+        double load_charge = 0.0;
+        const int steps_per_phase = 40;
+        const double loads[] = {3.0, 0.5, 5.0};
+        for (double load : loads) {
+            mesh.clearLoads();
+            mesh.addBlockLoad(2, 2, 12, 12, load);
+            for (int s = 0; s < steps_per_phase; ++s) {
+                mesh.stepTransient(dt, state);
+                bump_charge += state.sol.bumpCurrentA * dt;
+                load_charge += load * dt;
+            }
         }
+        const double decap_charge =
+            cfg.decapFarad * (sumVoltage(state.sol) - v_start);
+        // decap_charge is negative here (the caps discharged towards
+        // the loaded operating point), so the bumps delivered less
+        // than the loads consumed.
+        EXPECT_NEAR(bump_charge, load_charge + decap_charge,
+                    1e-6 * load_charge)
+            << "tolerance " << cfg.tolerance << " cap "
+            << cfg.maxIterations;
     }
-    const double decap_charge =
-        cfg.decapFarad * (sumVoltage(state.sol) - v_start);
-    // decap_charge is negative here (the caps discharged towards the
-    // loaded operating point), so the bumps delivered less than the
-    // loads consumed.
-    EXPECT_NEAR(bump_charge, load_charge + decap_charge,
-                1e-6 * load_charge);
+}
+
+TEST(TransientMesh, StateSteppedOnAnotherMeshUsesThatMeshsSystem)
+{
+    // A state carries voltages and bump currents, never the step
+    // system: stepped on a 20 nF mesh and then on a 5 nF mesh at the
+    // same dt, it must follow the 5 nF mesh's equations.  Under
+    // unchanged loads the DC point is a fixed point of both meshes
+    // (decap does not enter DC), so the state must stay there.
+    PdnMesh big(transientMesh(20e-9));
+    PdnMesh small(transientMesh(5e-9));
+    big.addBlockLoad(4, 4, 8, 8, 2.0);
+    small.addBlockLoad(4, 4, 8, 8, 2.0);
+    const PdnSolution dc = big.solve();
+    const double vdd = big.config().vdd;
+
+    PdnTransientState state = big.transientInit(dc);
+    for (int s = 0; s < 3; ++s)
+        big.stepTransient(2e-9, state);
+    small.stepTransient(2e-9, state);
+    EXPECT_NEAR(state.sol.worstDropMv(vdd), dc.worstDropMv(vdd), 5e-3);
+    for (size_t i = 0; i < dc.voltage.size(); ++i)
+        ASSERT_NEAR(state.sol.voltage[i], dc.voltage[i], 5e-6)
+            << "node " << i;
 }
 
 TEST(TransientMesh, StepLoadOvershootsDcDroopThenRecovers)

@@ -19,23 +19,26 @@ namespace
 {
 
 FleetConfig
-backendFleet(power::IrBackendKind kind, int threads)
+backendFleet(power::IrBackendKind kind, int threads, double dtNs)
 {
     FleetConfig f;
     f.chips = 2;
     f.options = test::fastServeOptions();
     f.options.irBackend = kind;
+    f.options.transientDtNs = dtNs;
     f.seed = 5;
     f.threads = threads;
     return f;
 }
 
+/** @p dtNs is the transient step; 0 derives it per window. */
 ServeReport
-run(power::IrBackendKind kind, int threads)
+run(power::IrBackendKind kind, int threads,
+    double dtNs = AimOptions{}.transientDtNs)
 {
     pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();
-    Fleet fleet(cfg, cal, backendFleet(kind, threads));
+    Fleet fleet(cfg, cal, backendFleet(kind, threads, dtNs));
     return fleet.serve(
         test::serveTrace(10, ArrivalKind::Poisson, 8000.0),
         test::sharedCache());
@@ -73,10 +76,16 @@ TEST(BackendFleet, MeshReportBitIdenticalAcrossThreads)
 
 TEST(BackendFleet, TransientReportBitIdenticalAcrossThreads)
 {
-    const auto serial = run(power::IrBackendKind::Transient, 1);
-    for (int threads : {2, 4})
-        expectIdentical(
-            serial, run(power::IrBackendKind::Transient, threads));
+    // Fixed and auto-derived steps: every round's eval steps through
+    // factors its backend shares across threads (one per dt).
+    for (double dt_ns : {AimOptions{}.transientDtNs, 0.0}) {
+        const auto serial =
+            run(power::IrBackendKind::Transient, 1, dt_ns);
+        for (int threads : {2, 4})
+            expectIdentical(serial,
+                            run(power::IrBackendKind::Transient,
+                                threads, dt_ns));
+    }
 }
 
 TEST(BackendFleet, ReportCarriesBackendTag)

@@ -132,7 +132,7 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
 {
     // Bit-exact regression of the transient backend's headline
     // numbers on a fixed zoo model (captured at %.17g from the
-    // red-black/multigrid default solve path): any refactor of the
+    // direct factored transient step): any refactor of the
     // PdnMesh implicit step, the TransientBackend eval or the
     // options plumbing that changes simulated physics -- rather than
     // code shape -- trips this before it drifts a paper figure.
@@ -144,8 +144,8 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
                  {1788.0701754385955, 91202177, 249.49070605821487,
-                  4.6166302149688372, 191.77258695287679,
-                  35.6592517636876, 163L, 73L, 735L, 8L,
+                  4.6166302149688372, 191.87157457830952,
+                  35.715592013259091, 163L, 73L, 735L, 8L,
                   41.258126578390552, 0.11054607445308388});
 }
 

@@ -10,6 +10,9 @@
  *    re-living the cold-start first droop
  *  - memoryless backends export nothing and ignore seeds, so the
  *    carry plumbing is inert outside the Transient backend
+ *  - a carry moves between backends of one mesh geometry and steps
+ *    on the receiving backend's own system; a carry of another
+ *    geometry is ignored
  */
 
 #include <gtest/gtest.h>
@@ -113,6 +116,66 @@ TEST(TransientContinuity, SeededEvalSkipsTheColdStartTransient)
         seeded_acc = windowMeanDrop(*seeded, heavy, rng_seeded);
     }
     EXPECT_NEAR(seeded_acc, cold_acc, std::abs(cold_acc) * 0.05);
+}
+
+TEST(TransientContinuity, SeedFromAnotherBackendStepsOnItsOwnSystem)
+{
+    // A carry holds voltages and bump currents, not the step system:
+    // seeded with the settled state of a 20 nF backend, a 5 nF
+    // backend of the same geometry and step must continue on its own
+    // equations.  Under the donor's steady demand the settled state
+    // is (nearly) a fixed point whatever the decap, so the seeded
+    // eval's first window matches the donor's next one.
+    const auto cal = power::defaultCalibration();
+    power::IrBackendConfig a_cfg = transientBackendConfig();
+    a_cfg.transientDecapNf = 20.0;
+    power::IrBackendConfig b_cfg = transientBackendConfig();
+    b_cfg.transientDecapNf = 5.0;
+    const power::TransientBackend a(a_cfg, cal);
+    const power::TransientBackend b(b_cfg, cal);
+    const auto layout = fullLayout();
+    const auto heavy = uniformWindow(0.55);
+
+    auto donor = a.newEval(layout);
+    util::Rng donor_rng(7);
+    for (int w = 0; w < 400; ++w)
+        windowMeanDrop(*donor, heavy, donor_rng);
+    const auto settled = donor->exportState();
+    ASSERT_NE(settled, nullptr);
+
+    auto seeded = b.newEval(layout, settled.get());
+    util::Rng rng_donor(13), rng_seeded(13);
+    const double donor_next = windowMeanDrop(*donor, heavy, rng_donor);
+    const double seeded_first =
+        windowMeanDrop(*seeded, heavy, rng_seeded);
+    EXPECT_NEAR(seeded_first, donor_next, 1e-6);
+}
+
+TEST(TransientContinuity, SeedOfAnotherMeshGeometryFallsBackCold)
+{
+    // A carry from a mesh of another size cannot seed this one: the
+    // eval starts cold, exactly as if no seed had been given.
+    const auto cal = power::defaultCalibration();
+    power::IrBackendConfig big_cfg = transientBackendConfig();
+    big_cfg.meshSize = 24;
+    const power::TransientBackend big(big_cfg, cal);
+    const power::TransientBackend bk(transientBackendConfig(), cal);
+    const auto layout = fullLayout();
+    const auto gw = uniformWindow(0.40);
+
+    auto donor = big.newEval(layout);
+    util::Rng donor_rng(7);
+    for (int w = 0; w < 20; ++w)
+        windowMeanDrop(*donor, gw, donor_rng);
+    const auto foreign = donor->exportState();
+
+    auto plain = bk.newEval(layout);
+    auto seeded = bk.newEval(layout, foreign.get());
+    util::Rng rng_a(5), rng_b(5);
+    for (int w = 0; w < 20; ++w)
+        EXPECT_EQ(windowMeanDrop(*plain, gw, rng_a),
+                  windowMeanDrop(*seeded, gw, rng_b))
+            << "window " << w;
 }
 
 TEST(TransientContinuity, NullSeedFallsBackToTheColdPath)
