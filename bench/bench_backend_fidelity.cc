@@ -2,9 +2,10 @@
  * @file
  * Droop-backend fidelity/speed sweep: runs the model zoo and a
  * synthetic HR sweep through the IR-drop backends (power/IrBackend)
- * and reports how closely the warm-started PDN-mesh backend tracks
- * the Equation-2 analytic backend, what the di/dt transient backend
- * adds on load steps, and at what cost.
+ * and reports how closely the PDN-mesh backend (exact DC solves
+ * through one shared factor) tracks the Equation-2 analytic backend,
+ * what the di/dt transient backend adds on load steps, and at what
+ * cost.
  *
  * This is the repo's stand-in for the paper's model-vs-RedHawk
  * validation (Figures 4/16/17): the analytic backend is the
@@ -13,14 +14,16 @@
  * first-droop overshoot a load step excites.  `--smoke` runs a
  * reduced sweep and exits non-zero unless the droop correlation is
  * >= 0.95, the mesh backend sustains >= 50% of the analytic
- * windows/sec (the red-black warm re-solves plus batched demand
- * deltas put it well above the old 10% bar), and the transient
- * backend both overshoots its converged DC droop by 3%..60% on a
- * step load and sustains >= 50% of the analytic windows/sec (the CI
- * gate).  The transient speed is matched: both backends run the same
- * HR-sweep rounds, and the gate takes the median ratio of three
- * passes (the direct factored step reads ~69-78% on a 4-vCPU Xeon
- * VM; the 40-sweep SOR step it replaced read 36-41%).
+ * windows/sec (a window re-solves only when a group's demand moved
+ * past rtogThreshold, as two triangular substitutions; ~84-91% on a
+ * 4-vCPU Xeon VM), and the
+ * transient backend both overshoots its converged DC droop by
+ * 3%..60% on a step load and sustains >= 50% of the analytic
+ * windows/sec (the CI gate).  The transient speed is matched: both
+ * backends run the same HR-sweep rounds, and the gate takes the
+ * median ratio of three passes (the direct factored step reads
+ * ~69-78% on a 4-vCPU Xeon VM; the 40-sweep SOR step it replaced
+ * read 36-41%).
  */
 
 #include "BenchCommon.hh"
@@ -87,7 +90,7 @@ main(int argc, char **argv)
             smoke = true;
 
     banner("Backend fidelity",
-           "analytic (Equation 2) vs mesh (warm-started PDN solves)");
+           "analytic (Equation 2) vs mesh (direct PDN solves)");
 
     pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();

@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the hot simulator kernels:
  * the bit-serial MAC + Rtog engine, the HR kernel, the LHR gradient,
- * the PDN mesh solve, the annealing mapper, and the ISA front end
- * (lowering, scoreboard issue walk, list scheduling).
+ * the PDN mesh factor, solve and transient step, the annealing
+ * mapper, and the ISA front end (lowering, scoreboard issue walk,
+ * list scheduling).
  */
 
 #include <benchmark/benchmark.h>
@@ -84,11 +85,15 @@ BENCHMARK(BM_LhrGradient);
 void
 BM_PdnMeshSolve(benchmark::State &state)
 {
+    // A DC solve through the mesh's cached factor (built by the
+    // warm-up solve, outside the timed loop): two triangular
+    // substitutions plus the right-hand side and bump observables.
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     power::PdnMesh mesh(cfg);
     mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
                       cfg.size / 2, 3.0);
+    benchmark::DoNotOptimize(mesh.solve().voltage.data());
     for (auto _ : state) {
         auto sol = mesh.solve();
         benchmark::DoNotOptimize(sol.voltage.data());
@@ -97,63 +102,19 @@ BM_PdnMeshSolve(benchmark::State &state)
 BENCHMARK(BM_PdnMeshSolve)->Arg(24)->Arg(48);
 
 void
-BM_PdnMeshWarmResolve(benchmark::State &state)
+BM_PdnMeshFactor(benchmark::State &state)
 {
-    // Perturbed re-solve warm-started from the previous solution --
-    // the mesh droop backend's per-window pattern.  Compare against
-    // BM_PdnMeshSolve at the same size for the warm-start win.
+    // The one-time cost every solve amortizes: the banded Cholesky
+    // factor of the DC matrix, paid once per mesh or mesh backend
+    // (16 is the backends' default mesh, 48 the solver default).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
-    power::PdnMesh mesh(cfg);
-    mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                      cfg.size / 2, 3.0);
-    power::PdnSolution prev = mesh.solve();
-    double delta = 0.05;
     for (auto _ : state) {
-        mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                          cfg.size / 2, delta);
-        delta = -delta;
-        prev = mesh.solve(&prev);
-        benchmark::DoNotOptimize(prev.voltage.data());
+        const power::PdnStepFactor f(cfg, power::kPdnDcStep);
+        benchmark::DoNotOptimize(&f);
     }
 }
-BENCHMARK(BM_PdnMeshWarmResolve)->Arg(24)->Arg(48);
-
-void
-BM_PdnMeshRedBlackSolve(benchmark::State &state)
-{
-    // Cold red-black SOR solve, pinned past the Auto dispatch --
-    // compare against BM_PdnMeshSolve (Auto: multigrid when cold)
-    // and BM_PdnMeshVCycle at the same size.
-    power::PdnMeshConfig cfg;
-    cfg.size = static_cast<int>(state.range(0));
-    cfg.solver = power::PdnSolverKind::RedBlack;
-    power::PdnMesh mesh(cfg);
-    mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                      cfg.size / 2, 3.0);
-    for (auto _ : state) {
-        auto sol = mesh.solve();
-        benchmark::DoNotOptimize(sol.voltage.data());
-    }
-}
-BENCHMARK(BM_PdnMeshRedBlackSolve)->Arg(24)->Arg(48);
-
-void
-BM_PdnMeshVCycle(benchmark::State &state)
-{
-    // Cold geometric-multigrid solve, pinned past the Auto dispatch.
-    power::PdnMeshConfig cfg;
-    cfg.size = static_cast<int>(state.range(0));
-    cfg.solver = power::PdnSolverKind::Multigrid;
-    power::PdnMesh mesh(cfg);
-    mesh.addBlockLoad(cfg.size / 4, cfg.size / 4, cfg.size / 2,
-                      cfg.size / 2, 3.0);
-    for (auto _ : state) {
-        auto sol = mesh.solve();
-        benchmark::DoNotOptimize(sol.voltage.data());
-    }
-}
-BENCHMARK(BM_PdnMeshVCycle)->Arg(24)->Arg(48);
+BENCHMARK(BM_PdnMeshFactor)->Arg(16)->Arg(24)->Arg(48);
 
 void
 BM_RuntimeWindowLoop(benchmark::State &state)
@@ -193,8 +154,9 @@ void
 BM_PdnMeshTransientStep(benchmark::State &state)
 {
     // One implicit-Euler RC step per window is the transient droop
-    // backend's hot loop (power/TransientBackend): decap-dominated
-    // diagonal, warm-started from the previous window's state.
+    // backend's hot loop (power/TransientBackend): two triangular
+    // substitutions through the mesh's step factor from the previous
+    // window's state.
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     cfg.bumpPitch = 4;

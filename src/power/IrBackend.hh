@@ -10,22 +10,23 @@
  *       one region per group, drop linear in Rtog.  Fast, and the
  *       default; runs are bit-identical to the pre-backend runtime.
  *   Mesh     -- the layout-level substitute (power/PdnMesh): active
- *       macros map to footprint nodes of a resistive PDN mesh and
- *       every window re-solves the mesh incrementally with
- *       warm-started SOR.  Slower, but spatially aware: a group's
- *       droop depends on its neighbours' activity and its distance
- *       to the bumps, the effect RedHawk sees and Equation 2
- *       averages away (paper Figures 4/16/17).
+ *       macros map to footprint nodes of a resistive PDN mesh, and
+ *       every window whose demand moved re-solves the mesh exactly
+ *       through the backend's factored DC matrix.  Slower, but
+ *       spatially aware: a group's droop depends on its neighbours'
+ *       activity and its distance to the bumps, the effect RedHawk
+ *       sees and Equation 2 averages away (paper Figures 4/16/17).
  *
  * Threading contract: an IrBackend is immutable after construction
- * (the transient backend's per-dt step factors are a lock-guarded
+ * (the mesh backend's DC factor is built there and only read after;
+ * the transient backend's per-dt step factors are a lock-guarded
  * memo of immutable values) and shared by every concurrent
- * Runtime::run call; all per-round
- * mutable state (warm solutions, applied currents, noise) lives in
- * the IrEval a caller creates per round via newEval().  Evaluating a
- * window consumes the shared round RNG once per active group, in
- * ascending group order, for every backend -- so reports stay a pure
- * function of (round, seed, backend kind).
+ * Runtime::run call; all per-round mutable state (loads, solutions,
+ * applied currents, noise) lives in the IrEval a caller creates per
+ * round via newEval().  Evaluating a window consumes the shared
+ * round RNG once per active group, in ascending group order, for
+ * every backend -- so reports stay a pure function of (round, seed,
+ * backend kind).
  */
 
 #ifndef AIM_POWER_IRBACKEND_HH
@@ -48,7 +49,7 @@ namespace aim::power
 enum class IrBackendKind : int
 {
     Analytic,  ///< Equation-2 per-group estimator (the default)
-    Mesh,      ///< warm-started incremental PDN-mesh solves
+    Mesh,      ///< DC PDN-mesh solves through one shared factor
     Transient, ///< di/dt RC mesh, one implicit-Euler step per window
 };
 
@@ -93,9 +94,9 @@ struct IrState
 };
 
 /**
- * Per-round droop evaluator.  Stateful (warm starts, applied
- * currents); create one per round via IrBackend::newEval and discard
- * it with the round.
+ * Per-round droop evaluator.  Stateful (loads, applied currents,
+ * transient state); create one per round via IrBackend::newEval and
+ * discard it with the round.
  */
 class IrEval
 {
@@ -129,8 +130,8 @@ class IrEval
 
 /**
  * Immutable droop-model half shared across rounds and threads.
- * Construction pays any one-time cost (the mesh backend's cold
- * full-grid solve and calibration); newEval() is cheap.
+ * Construction pays any one-time cost (the mesh backend's DC
+ * factor and calibration solve); newEval() is cheap.
  */
 class IrBackend
 {
@@ -184,13 +185,9 @@ struct IrBackendConfig
      * is left in place (its droop is scaled linearly with demand
      * instead -- exact for the group's own contribution on a linear
      * network, stale only for neighbour coupling).  Only materially
-     * changed groups trigger a warm re-solve.
+     * changed groups trigger a re-solve.
      */
     double rtogThreshold = 0.15;
-    /** Convergence tolerance of the per-window warm solves [A]. */
-    double warmTolerance = 2e-5;
-    /** Iteration cap of the per-window warm solves. */
-    int warmMaxIterations = 4;
 
     // --- Transient backend tuning (ignored by Analytic and Mesh) ---
     /**
@@ -226,9 +223,9 @@ struct IrBackendConfig
 /**
  * Build a backend; fatal on an unknown kind.  Backends are a pure
  * function of (config, calibration) and immutable, so heavy ones
- * (the mesh backend's cold calibration solve) are memoized
+ * (the mesh backend's factor and calibration solve) are memoized
  * process-wide and shared -- a sharded runtime or pipeline that
- * constructs a Runtime per request pays the cold solve once, not per
+ * constructs a Runtime per request pays them once, not per
  * request.
  */
 std::shared_ptr<const IrBackend>

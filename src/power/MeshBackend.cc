@@ -22,16 +22,29 @@ gridShape(int n)
     return {rows, cols};
 }
 
+/** The purely resistive mesh a backend's geometry describes. */
+PdnMeshConfig
+dcMeshConfig(const IrBackendConfig &cfg, const Calibration &cal)
+{
+    PdnMeshConfig mesh;
+    mesh.size = cfg.meshSize;
+    mesh.bumpPitch = cfg.meshBumpPitch;
+    mesh.vdd = cal.vddNominal;
+    return mesh;
+}
+
 } // namespace
 
-/** Per-round mesh evaluator: warm solution + applied currents. */
+/**
+ * Per-round mesh evaluator: the round's applied currents and the DC
+ * solution of the last load change.
+ */
 class MeshEval final : public IrEval
 {
   public:
     MeshEval(const MeshBackend &backend,
              const std::vector<std::vector<int>> &activeMacros)
-        : bk(backend), mesh(backend.warmCfg),
-          prev(backend.baselineSol)
+        : bk(backend), mesh(backend.meshCfg)
     {
         const auto rects = bk.groupRects(activeMacros);
         groupNodes = bk.groupNodeLists(rects);
@@ -72,27 +85,19 @@ class MeshEval final : public IrEval
                 appliedA[g] = demandA[g];
             }
         }
-        if (!pendingDeltas.empty())
+        if (!pendingDeltas.empty()) {
+            // Exact DC solve of the new loads through the backend's
+            // shared factor, in place: two triangular substitutions
+            // and no per-window allocation.
             mesh.applyLoadDeltas(pendingDeltas);
-
-        // Re-solve when loads moved materially -- and keep iterating
-        // on quiet windows while the last capped solve has not
-        // reached tolerance yet, so a stable demand converges to the
-        // consistent voltage map instead of freezing a stale one.
-        // Convergence is the solver's own verdict (the one tolerance
-        // constant lives in PdnMeshConfig), not a re-derived check.
-        if (!pendingDeltas.empty() || !prev.converged) {
-            // Warm-started red-black SOR from the previous window's
-            // voltage map, in place: a few sweeps instead of a cold
-            // solve, and no per-window allocation.
-            mesh.resolve(prev);
-            ++solveCount;
-            iterationCount += prev.iterations;
+            mesh.solve(bk.dcFactor, sol);
             for (size_t g = 0; g < groupNodes.size(); ++g)
                 if (activeCount[g] > 0)
-                    cachedDynMv[g] = bk.scale * footprintDropMv(g);
+                    cachedDynMv[g] =
+                        bk.scale * MeshBackend::nodesDropMv(
+                                       sol, groupNodes[g],
+                                       bk.meshCfg.vdd);
         }
-        ++windowCount;
 
         for (size_t g = 0; g < groups.size(); ++g) {
             const GroupWindow &gw = groups[g];
@@ -111,63 +116,39 @@ class MeshEval final : public IrEval
         }
     }
 
-    long solves() const { return solveCount; }
-    long iterations() const { return iterationCount; }
-    long windows() const { return windowCount; }
-
   private:
-    /** Mean dynamic drop over group @p g's active footprints [mV]. */
-    double
-    footprintDropMv(size_t g) const
-    {
-        return MeshBackend::nodesDropMv(prev, groupNodes[g],
-                                        bk.warmCfg.vdd);
-    }
-
     const MeshBackend &bk;
     PdnMesh mesh;
-    PdnSolution prev;
+    PdnSolution sol;
     std::vector<MeshBackend::GroupNodes> groupNodes;
     std::vector<PdnLoadDelta> pendingDeltas;
     std::vector<int> activeCount;
     std::vector<double> appliedA;
     std::vector<double> demandA;
     std::vector<double> cachedDynMv;
-    long solveCount = 0;
-    long iterationCount = 0;
-    long windowCount = 0;
 };
 
 MeshBackend::MeshBackend(const IrBackendConfig &cfg,
                          const Calibration &cal)
-    : bcfg(cfg), cal(cal), ir(cal)
+    : bcfg(cfg), cal(cal), ir(cal),
+      meshCfg(dcMeshConfig(cfg, cal)), dcFactor(meshCfg, kPdnDcStep)
 {
     aim_assert(bcfg.groups >= 1 && bcfg.macrosPerGroup >= 1,
                "mesh backend needs a positive chip geometry");
-    warmCfg.size = bcfg.meshSize;
-    warmCfg.bumpPitch = bcfg.meshBumpPitch;
-    warmCfg.vdd = cal.vddNominal;
-    warmCfg.tolerance = bcfg.warmTolerance;
-    warmCfg.maxIterations = bcfg.warmMaxIterations;
 
     fullA = ir.demandCurrentA(
         ir.dynamicDropMv(cal.vddNominal, cal.fNominal, 1.0));
 
-    // Cold calibration solve: every macro at full activity, at the
-    // solver's own defaults -- the single tolerance/cap constants
-    // live in PdnMeshConfig, not re-stated here.  Its solution
-    // doubles as the evals' warm seed.
-    PdnMeshConfig tight = warmCfg;
-    tight.tolerance = PdnMeshConfig{}.tolerance;
-    tight.maxIterations = PdnMeshConfig{}.maxIterations;
-    PdnMesh mesh(tight);
+    // Calibration solve: every macro at full activity.  Its solution
+    // is also the transient backend's cold-start operating point.
+    PdnMesh mesh(meshCfg);
     const int macros = bcfg.groups * bcfg.macrosPerGroup;
     const double per_macro = fullA / macros;
     for (int m = 0; m < macros; ++m) {
         const Footprint r = macroFootprint(m);
         mesh.addBlockLoad(r.row0, r.col0, r.rows, r.cols, per_macro);
     }
-    baselineSol = mesh.solve();
+    mesh.solve(dcFactor, baselineSol);
 
     // Anchor the mesh to Equation 2: at uniform full activity the
     // mean group drop must equal the analytic dynamic drop, so the
@@ -198,7 +179,7 @@ std::vector<MeshBackend::GroupNodes>
 MeshBackend::groupNodeLists(
     const std::vector<std::vector<Footprint>> &rects) const
 {
-    const int n = warmCfg.size;
+    const int n = meshCfg.size;
     std::vector<GroupNodes> out(rects.size());
     for (size_t g = 0; g < rects.size(); ++g) {
         const auto &rs = rects[g];
@@ -246,7 +227,7 @@ MeshBackend::macroFootprint(int m) const
     const int gc = g % g_cols;
     const int mr = local / m_cols;
     const int mc = local % m_cols;
-    const int n = warmCfg.size;
+    const int n = meshCfg.size;
 
     const int tile_r0 = gr * n / g_rows;
     const int tile_r1 = (gr + 1) * n / g_rows;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Layout-level droop backend: the window engine's view of the
- * PdnMesh SOR solver (power/PdnMesh).
+ * PdnMesh solver (power/PdnMesh).
  *
  * Geometry: the die is tiled into a gRows x gCols grid of group
  * regions, each subdivided into macro sub-tiles; a group's *active*
@@ -12,19 +12,20 @@
  * resistive network does with it (bump proximity, neighbour
  * coupling).
  *
- * Cost model: the cold full-grid solve (a multigrid V-cycle under
- * the solver's Auto dispatch) is paid once, at backend construction,
- * against the full-activity load (this also calibrates the mesh
- * scale to Equation 2's full-activity dynamic drop).  Each round's
- * evaluator then starts from that solution; per window, only groups
- * whose demand current moved beyond IrBackendConfig::rtogThreshold
- * contribute to one batched PdnMesh::applyLoadDeltas vector (their
- * footprints pre-flattened to node indices by groupNodeLists), and a
- * single warm-started red-black re-solve runs in place on the
- * previous window's voltage map -- a handful of half-sweeps instead
- * of a cold solve's hundreds.  Groups inside the threshold scale
- * their cached footprint drop linearly with demand (the mesh is a
- * linear network, so own-contribution scaling is exact).
+ * Cost model: construction factors the mesh's DC matrix once
+ * (PdnStepFactor at kPdnDcStep; ~55 us at the default 16 x 16) and
+ * solves the full-activity load through it (this also calibrates the
+ * mesh scale to Equation 2's full-activity dynamic drop).  Every
+ * round's evaluator shares that factor read-only; per window, only
+ * groups whose demand current moved beyond
+ * IrBackendConfig::rtogThreshold contribute to one batched
+ * PdnMesh::applyLoadDeltas vector (their footprints pre-flattened to
+ * node indices by groupNodeLists), and one exact DC solve -- two
+ * triangular substitutions -- runs in place.  Groups inside the
+ * threshold scale their cached footprint drop linearly with demand
+ * (the mesh is a linear network, so own-contribution scaling is
+ * exact).  A window's droop is therefore a function of the round's
+ * applied loads alone: the evaluator carries no solver history.
  */
 
 #ifndef AIM_POWER_MESHBACKEND_HH
@@ -41,13 +42,14 @@ class MeshEval;
 /**
  * PDN-mesh droop backend (IrBackendKind::Mesh).  Also the base of
  * the di/dt TransientBackend, which reuses the footprint mapping,
- * the cold full-activity solve and the Equation-2 anchor calibration
+ * the full-activity DC solve and the Equation-2 anchor calibration
  * and only swaps the per-window evaluator.
  */
 class MeshBackend : public IrBackend
 {
   public:
-    /** Pays the cold full-activity solve and calibrates the scale. */
+    /** Factors the DC matrix, solves full activity and calibrates
+     *  the scale. */
     MeshBackend(const IrBackendConfig &cfg, const Calibration &cal);
 
     IrBackendKind
@@ -107,7 +109,7 @@ class MeshBackend : public IrBackend
     /** Mesh-to-Equation-2 calibration factor. */
     double dynScale() const { return scale; }
 
-    /** The construction-time full-activity solution. */
+    /** The construction-time full-activity DC solution. */
     const PdnSolution &baseline() const { return baselineSol; }
 
     /** Full-chip dynamic demand current at Rtog = 1, nominal V-f. */
@@ -125,8 +127,10 @@ class MeshBackend : public IrBackend
     IrBackendConfig bcfg;
     Calibration cal;
     IrModel ir;
-    /** Loose-tolerance mesh config of the per-window warm solves. */
-    PdnMeshConfig warmCfg;
+    /** Mesh config of the per-window DC solves (no storage). */
+    PdnMeshConfig meshCfg;
+    /** meshCfg's DC matrix, factored once and shared by every round. */
+    PdnStepFactor dcFactor;
     PdnSolution baselineSol;
     double scale = 1.0;
     double fullA = 0.0;

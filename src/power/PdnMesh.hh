@@ -10,86 +10,44 @@
  * their footprint nodes.  Solving Kirchhoff's current law yields the
  * on-die voltage map; IR-drop is VDD minus that map.
  *
- * The three DC solve paths share one sweep kernel (see
- * PdnSolverKind): red-black ordered SOR (the default for warm
- * incremental re-solves: two data-independent half-sweeps,
- * parallelizable over exec::ExecPool with bit-identical results at
- * any thread count), a geometric-multigrid V-cycle (cold solves and
- * large meshes), and the seed's lexicographic SOR kept as the
- * reference ordering the property suite compares against
- * (tests/power/SolverPropertyTest).  The transient step with decap
- * or bump inductance is a direct solve instead: its matrix depends
- * only on geometry, storage and dt, so it is factored once
- * (PdnStepFactor) and every step is two triangular substitutions.
+ * One direct solver answers every solve.  The nodal matrix depends
+ * only on geometry, storage elements and the step size, so it is
+ * factored once (PdnStepFactor, a banded Cholesky) and each solve is
+ * one forward and one back substitution -- no iteration, exact up to
+ * rounding.  A transient step solves the backward-Euler matrix at
+ * its dt; the DC system is that matrix at dt = infinity (C/dt = L/dt
+ * = 0, kPdnDcStep), so the DC solve and a step without storage
+ * elements are one computation.
  */
 
 #ifndef AIM_POWER_PDNMESH_HH
 #define AIM_POWER_PDNMESH_HH
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-namespace aim::exec
-{
-class ExecPool;
-}
-
 namespace aim::power
 {
-
-/**
- * Which solver answers PdnMesh::solve.
- *
- *   Auto          -- multigrid for cold solves and meshes larger
- *                    than kRbMaxAutoSize (24) nodes per side;
- *                    warm-started red-black SOR for incremental
- *                    re-solves (the droop backends' per-window path).
- *   Lexicographic -- the seed's single-order SOR sweeps, kept as the
- *                    bit-stable reference implementation.
- *   RedBlack      -- force red-black SOR for every solve.
- *   Multigrid     -- force the V-cycle for every solve.
- */
-enum class PdnSolverKind : int
-{
-    Auto,
-    Lexicographic,
-    RedBlack,
-    Multigrid,
-};
 
 /** Mesh geometry and electrical parameters. */
 struct PdnMeshConfig
 {
     /** Grid nodes per side. */
     int size = 48;
-    /** Sheet conductance between neighbouring nodes [S]. */
+    /** Sheet conductance between neighbouring nodes [S] (> 0). */
     double sheetConductance = 28.0;
-    /** Conductance from a bump node to the ideal supply [S]. */
+    /** Conductance from a bump node to the ideal supply [S] (> 0). */
     double bumpConductance = 90.0;
     /** Bump pitch in grid nodes (every k-th node on both axes). */
     int bumpPitch = 6;
     /** Supply voltage at the bumps [V]. */
     double vdd = 0.75;
-    /** SOR relaxation factor. */
-    double omega = 1.88;
-    /**
-     * Convergence threshold on the max KCL residual [A].  The single
-     * tolerance constant every iterative solve path gates on -- SOR
-     * sweeps and the multigrid outer loop and its coarsest-level
-     * solve (the direct transient step needs none);
-     * PdnSolution::converged reports the outcome so callers (the
-     * droop backends' quiet-window guard) never re-derive it.
-     */
-    double tolerance = 1e-7;
-    /** Iteration cap: SOR sweeps, or V-cycles on the multigrid path. */
-    int maxIterations = 20000;
-    /** Solve-path selection (see PdnSolverKind). */
-    PdnSolverKind solver = PdnSolverKind::Auto;
     /**
      * Decap from every node to ground [F].  Zero (the default) keeps
-     * the mesh purely resistive: stepTransient degenerates to a
-     * warm-started DC solve and the DC solve() path never reads it.
+     * the mesh purely resistive: stepTransient is then the DC solve,
+     * and the DC solve() never reads it.
      */
     double decapFarad = 0.0;
     /**
@@ -106,17 +64,6 @@ struct PdnSolution
     /** Node voltages, row-major size x size [V]. */
     std::vector<double> voltage;
     int size = 0;
-    /** Iterations used: SOR sweeps, or V-cycles for multigrid. */
-    int iterations = 0;
-    /** Max |KCL residual| at the last iteration [A]. */
-    double residual = 0.0;
-    /**
-     * True when the solver reached PdnMeshConfig::tolerance within
-     * its iteration cap -- the one convergence predicate shared by
-     * every solve path and by the droop backends' quiet-window
-     * guard.
-     */
-    bool converged = false;
     /** Total current delivered through the bumps [A]. */
     double bumpCurrentA = 0.0;
     /** Mean voltage across bump nodes [V]. */
@@ -155,28 +102,34 @@ struct PdnTransientState
     std::vector<double> bumpA;
 };
 
+/** The step size whose backward-Euler matrix is the DC matrix: the
+ *  decap (C/dt) and bump-inductor (L/dt) terms vanish. */
+inline constexpr double kPdnDcStep =
+    std::numeric_limits<double>::infinity();
+
 /**
  * The backward-Euler step matrix of one (geometry, decap, bump L,
  * dt), factored once.  The matrix is the nodal diagonal (neighbour
  * links + decap conductance C/dt, plus the effective bump
  * conductance 1/(1/gb + L/dt) on bump nodes) minus the sheet
  * conductance on every grid link: symmetric positive definite with
- * half-bandwidth `size` in row-major node order.  Its banded
- * Cholesky factor holds size^2 x (size + 1) doubles, and a step is
- * one forward and one back substitution -- no iteration, exact up to
- * rounding.  Immutable once built, so one factor is shared read-only
- * by every mesh and thread that steps the same system.
+ * half-bandwidth `size` in row-major node order.  At dt = kPdnDcStep
+ * it is the DC matrix.  Its banded Cholesky factor holds size^2 x
+ * (size + 1) doubles, and a solve is one forward and one back
+ * substitution.  Immutable once built, so one factor is shared
+ * read-only by every mesh and thread that solves the same system.
  */
 class PdnStepFactor
 {
   public:
-    /** Factor the step matrix of @p cfg at step @p dtSec (> 0). */
+    /** Factor the matrix of @p cfg at step @p dtSec (> 0; kPdnDcStep
+     *  for DC). */
     PdnStepFactor(const PdnMeshConfig &cfg, double dtSec);
 
     /**
-     * True when this factor was built from @p cfg's matrix at
-     * @p dtSec: size, bump pitch, sheet and bump conductance, decap,
-     * bump inductance and dt all equal.
+     * True when @p cfg at @p dtSec solves this factor's system: size,
+     * bump pitch, sheet and bump conductance, C/dt and L/dt all equal.
+     * A mesh without storage elements matches its DC factor at any dt.
      */
     bool matches(const PdnMeshConfig &cfg, double dtSec) const;
 
@@ -188,14 +141,14 @@ class PdnStepFactor
     /** Bump-branch L/dt [ohm]. */
     double lOverDt() const { return lDt; }
 
-    /** Overwrite @p rhs (size^2 values) with the step's solution. */
+    /** Overwrite @p rhs (size^2 values) with the system's solution. */
     void solveInPlace(double *rhs) const;
 
   private:
-    // The matrix inputs (what matches() compares), then the step
-    // coefficients derived from them.
+    // The matrix inputs, then the coefficients derived from them
+    // (what matches() compares, with the geometry).
     int n, pitch;
-    double g, gb, decap, bumpL, dt;
+    double g, gb, dt;
     double gc, lDt, gbe;
     /**
      * Row i of the lower factor L at [i * (n + 1), (i + 1) * (n + 1)):
@@ -205,18 +158,20 @@ class PdnStepFactor
 };
 
 /**
- * PDN mesh solver.  Immutable geometry (conductances, bumps and the
- * precomputed nodal diagonals) with a mutable load set.  The solve
- * methods reuse internal scratch buffers (and stepTransient caches
- * its factors in the mesh), so concurrent solve() or stepTransient()
- * calls on ONE instance race -- callers that parallelize hold one
- * mesh per worker (the droop backends already hold one per
- * round-eval); a single solve may itself fan out over an
- * exec::ExecPool bit-deterministically.
+ * PDN mesh: immutable geometry with a mutable load set.
+ * Construction builds no factor (the transient backend builds a mesh
+ * every round and steps it through its own shared factor).  solve()
+ * and stepTransient(dt, state) build the one factor they need on
+ * first use and keep it in the mesh, so concurrent calls of those on
+ * ONE instance race; callers that parallelize hold one mesh per
+ * worker (the droop backends hold one per round-eval).  The
+ * overloads taking a PdnStepFactor only read the mesh.
  */
 class PdnMesh
 {
   public:
+    /** Fatal on a non-positive size, pitch or conductance, or on
+     *  negative storage. */
     explicit PdnMesh(const PdnMeshConfig &cfg);
 
     /** Zero all load currents. */
@@ -248,39 +203,22 @@ class PdnMesh
         return row * cfg.size + col;
     }
 
-    /** Solve KCL for the current load set (flat-VDD initial guess). */
+    /**
+     * Solve KCL for the current load set through the mesh's DC
+     * factor, built on first use and kept: after that a solve is two
+     * triangular substitutions.  Decap and bump inductance do not
+     * enter DC.
+     */
     PdnSolution solve() const;
 
     /**
-     * Solve KCL warm-started from a previous solution.  When
-     * @p warmStart matches the mesh size its voltage map seeds the
-     * sweeps, so a re-solve after a small load perturbation
-     * converges in a handful of iterations instead of a cold solve's
-     * hundreds (see PdnMeshTest.WarmStartCutsIterations).  A null or
-     * mismatched warm start falls back to the flat-VDD guess -- and,
-     * under PdnSolverKind::Auto, onto the multigrid path.
+     * The same DC solve into @p sol (overwritten, never read) through
+     * a caller-held factor of this mesh's DC matrix
+     * (fatal on any other): the mesh backend's per-window path, where
+     * one factor serves every round's mesh and a window allocates
+     * nothing.
      */
-    PdnSolution solve(const PdnSolution *warmStart) const;
-
-    /**
-     * Solve with the red-black half-sweeps (and the multigrid
-     * smoother) fanned out over @p pool.  Results are bit-identical
-     * to the serial solve at every thread count: each half-sweep
-     * only reads the opposite colour, so node updates are
-     * order-independent, and the residual is a max-reduction.  A
-     * null pool (or the lexicographic path) runs serially.
-     */
-    PdnSolution solve(const PdnSolution *warmStart,
-                      exec::ExecPool *pool) const;
-
-    /**
-     * In-place re-solve: @p sol doubles as the warm start and the
-     * result, so the droop backends' per-window loop allocates
-     * nothing.  An empty or mismatched @p sol cold-starts from the
-     * flat-VDD guess.
-     */
-    void resolve(PdnSolution &sol,
-                 exec::ExecPool *pool = nullptr) const;
+    void solve(const PdnStepFactor &dc, PdnSolution &sol) const;
 
     /**
      * Consistent transient state for a DC operating point: voltages
@@ -300,28 +238,28 @@ class PdnMesh
      * 1/(1/gb + L/dt) plus a history source), and every node gains a
      * decap conductance C/dt with a C/dt * V_prev history source --
      * unconditionally stable at any dt.  The step solves these
-     * implicit equations directly through the mesh's PdnStepFactor
-     * for @p dtSec, built on first use and rebuilt whenever an input
-     * of the matrix changes (the mesh keeps one); the factor is bound
-     * to this mesh, never to @p state.  The step reports 0
-     * iterations, residual 0 and converged.  With decapFarad == 0 and bumpInductanceH == 0 the
-     * step *is* the warm-started DC solve (resolve), bit for bit.
+     * implicit equations directly through the mesh's factor for
+     * @p dtSec, kept like solve()'s and rebuilt whenever the system
+     * changes; the factor is bound to this mesh, never to @p state.
+     * With decapFarad == 0 and bumpInductanceH == 0 the system is
+     * the DC one, so the step reuses the DC factor and returns what
+     * solve() does, bit for bit.
      */
     void stepTransient(double dtSec, PdnTransientState &state) const;
 
     /**
-     * The same storage step through a caller-held factor of this
-     * mesh's matrix (fatal on a factor of another geometry or
-     * storage): the transient backend's path, where one factor
-     * serves every round's mesh.
+     * The same step through a caller-held factor of this mesh's
+     * system (fatal on a factor of another geometry or storage): the
+     * transient backend's path, where one factor serves every
+     * round's mesh.
      */
     void stepTransient(const PdnStepFactor &factor,
                        PdnTransientState &state) const;
 
     /**
-     * Max |KCL residual| of @p sol under the current load set [A] --
-     * the solver-independent convergence check the property suite
-     * gates every solve path on.
+     * Max |KCL residual| of @p sol under the current load set [A]:
+     * at every node, the bump branch's current in minus the load and
+     * the sheet currents out -- an oracle independent of the factor.
      */
     double kclResidualMax(const PdnSolution &sol) const;
 
@@ -330,65 +268,26 @@ class PdnMesh
 
     const PdnMeshConfig &config() const { return cfg; }
 
-    /** Auto picks red-black only at size <= this (else multigrid). */
-    static constexpr int kRbMaxAutoSize = 24;
-
   private:
-    /**
-     * One coarse grid of the multigrid hierarchy (level >= 1; the
-     * finest level lives in the caller's PdnSolution).  pj0/pj1 and
-     * pw0/pw1 map each 1-D index of the PARENT (finer) grid onto two
-     * coarse indices with linear-interpolation weights; the 2-D
-     * restriction/prolongation operators are their tensor product.
-     */
-    struct MgLevel
-    {
-        int n = 0;
-        /** Nodal diagonal: neighbour links + aggregated supply. */
-        std::vector<double> diag;
-        /** Smoother reciprocal, kMgOmega / diag. */
-        std::vector<double> invW;
-        /** Fine-index -> coarse interpolation (second weight may
-         *  be zero: even rows/cols and the clamped far edge). */
-        std::vector<int> pj0, pj1;
-        std::vector<double> pw0, pw1;
-        /** Correction, restricted residual, residual scratch. */
-        std::vector<double> v, src, res;
-    };
+    /** The mesh's own factor at @p dtSec, rebuilt unless the kept
+     *  one matches. */
+    const PdnStepFactor &ownFactor(double dtSec) const;
 
-    void solveLexicographic(PdnSolution &sol) const;
-    void solveRedBlack(PdnSolution &sol, exec::ExecPool *pool) const;
-    void solveMultigrid(PdnSolution &sol, exec::ExecPool *pool) const;
-    /** Fill srcScratch with the DC source vector (loads + bumps). */
-    void buildDcSource() const;
-    /** Bump observables of a finished solve. */
-    void finishSolution(PdnSolution &sol) const;
-    /** Build the coarse-grid hierarchy (at construction). */
-    void buildMultigrid();
-    /** One V-cycle recursion step over level @p lvl. */
-    void mgVCycle(int lvl, double *v, const double *src,
-                  const double *diag, const double *invW, int n,
-                  exec::ExecPool *pool) const;
+    /**
+     * The one substitution every solve shares: build the right-hand
+     * side in @p sol's voltages, solve it through @p f, then update
+     * the bump observables and, when @p bumpA is not null, the bump
+     * inductor currents (a DC solve has none).
+     */
+    void substitute(const PdnStepFactor &f, PdnSolution &sol,
+                    double *bumpA) const;
 
     PdnMeshConfig cfg;
     std::vector<double> loadA;
-
-    // Geometry precomputed at construction: flat bump indices
-    // (row-major), the DC diagonal (neighbour links + bump
-    // conductance) and its omega-scaled reciprocal -- the sweep
-    // kernels run division-free.
+    /** Flat bump node indices, row-major. */
     std::vector<int> bumpIdx;
-    std::vector<double> dcDiag;
-    std::vector<double> dcInvW;
-    /** Finest-level multigrid smoother reciprocal (kMgOmega/diag). */
-    std::vector<double> mgInvW0;
-
-    // Per-solve scratch (see the class comment on thread safety).
-    mutable std::vector<double> srcScratch;
-    mutable std::vector<double> mgRes0;
-    mutable std::vector<MgLevel> mg; ///< coarse levels, finest first
-    /** Factor of the last standalone stepTransient(dt, state). */
-    mutable std::optional<PdnStepFactor> stepFactor;
+    /** The factor of the last solve() or stepTransient(dt, state). */
+    mutable std::optional<PdnStepFactor> factor;
 };
 
 } // namespace aim::power

@@ -49,7 +49,7 @@ class TransientEval final : public IrEval
         for (size_t g = 0; g < groups; ++g)
             activeCount[g] = static_cast<int>(rects[g].size());
         // Cold start: the construction-time full-activity DC point
-        // (the same seed MeshEval warm-starts from) with the load set
+        // (the mesh backend's calibration solve) with the load set
         // empty -- the first windows inject the round's actual
         // demand and the RC state physically relaxes onto it, as if
         // the chip came out of a heavy phase.
@@ -154,7 +154,7 @@ TransientBackend::TransientBackend(const IrBackendConfig &cfg,
     aim_assert(cfg.windowCycles > 0, "windowCycles must be positive");
     aim_assert(cfg.transientBumpPh >= 0.0,
                "negative bump inductance");
-    transCfg = warmCfg;
+    transCfg = meshCfg;
     transCfg.decapFarad = cfg.transientDecapNf * 1e-9;
     transCfg.bumpInductanceH = cfg.transientBumpPh * 1e-12;
     autoDt = cfg.transientDtNs == 0.0;

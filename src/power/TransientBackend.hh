@@ -24,7 +24,7 @@
  * convergence cap.
  *
  * Everything except the per-window step is inherited from
- * MeshBackend: the macro footprint mapping, the cold full-activity
+ * MeshBackend: the macro footprint mapping, the full-activity DC
  * solve and the Equation-2 anchor calibration (so all three backends
  * agree on how much current flows at full uniform activity, and the
  * transient backend disagrees only where history matters).
@@ -48,10 +48,10 @@ class TransientBackend final : public MeshBackend
 {
   public:
     /**
-     * Pays MeshBackend's cold full-activity solve, then derives the
-     * transient mesh config (decap, bump inductance, step) from
-     * IrBackendConfig's transient* fields and, at a fixed step,
-     * factors the step matrix.
+     * Pays MeshBackend's DC factor and full-activity solve, then
+     * derives the transient mesh config (decap, bump inductance,
+     * step) from IrBackendConfig's transient* fields and, at a fixed
+     * step, factors the step matrix.
      */
     TransientBackend(const IrBackendConfig &cfg,
                      const Calibration &cal);

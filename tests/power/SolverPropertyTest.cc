@@ -1,16 +1,12 @@
 /**
  * @file
- * Property suite gating the PDN solver rebuild (red-black SOR +
- * geometric multigrid): every solve path must satisfy the same
- * physics contract on randomized meshes, the new orderings must
- * agree with the seed's lexicographic reference at solver tolerance,
- * the parallel red-black path must be bit-identical at every thread
- * count, and the new default path is pinned by %.17g goldens.  The
- * direct transient step must satisfy its implicit KCL at every node
- * on randomized meshes, storage and step sizes.
- *
- * Carries the ctest label "solver" (see CMakeLists) so CI lanes can
- * run it explicitly with `ctest -L solver`.
+ * Property suite of the PDN solver (power/PdnMesh): the one direct
+ * solve must satisfy KCL at every node and deliver exactly the load
+ * through the bumps on randomized meshes; a step without storage
+ * elements must be the DC solve bit for bit; the storage step must
+ * satisfy its implicit backward-Euler KCL on randomized meshes,
+ * storage and step sizes; and the default geometry is pinned by
+ * %.17g goldens.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +15,6 @@
 #include <cmath>
 #include <random>
 
-#include "exec/ExecPool.hh"
 #include "power/PdnMesh.hh"
 
 using namespace aim::power;
@@ -70,11 +65,9 @@ randomProblem(std::mt19937_64 &rng)
 }
 
 PdnMesh
-buildMesh(const RandomProblem &p, PdnSolverKind kind)
+buildMesh(const RandomProblem &p)
 {
-    PdnMeshConfig cfg = p.cfg;
-    cfg.solver = kind;
-    PdnMesh mesh(cfg);
+    PdnMesh mesh(p.cfg);
     for (const auto &ld : p.loads)
         mesh.addBlockLoad(ld.row0, ld.col0, ld.rows, ld.cols,
                           ld.amps);
@@ -85,170 +78,72 @@ buildMesh(const RandomProblem &p, PdnSolverKind kind)
 
 TEST(SolverProperty, ResidualBelowToleranceOnRandomMeshes)
 {
-    // Physics contract: every solve path reports convergence and the
-    // true KCL residual of its answer is at solver-tolerance scale.
-    // The sweep paths gate on the update norm |diag dV| rather than
-    // the true residual, so allow one order of magnitude of slack --
-    // on amp-scale loads, 1e-6 A of KCL imbalance is noise.
+    // Physics contract of the direct solve, checked outside the
+    // solver: at every node the bump branch's current in equals the
+    // load plus the sheet currents out, and the bumps deliver the
+    // total load.
     std::mt19937_64 rng(20250808);
-    const PdnSolverKind kinds[] = {PdnSolverKind::Lexicographic,
-                                   PdnSolverKind::RedBlack,
-                                   PdnSolverKind::Multigrid,
-                                   PdnSolverKind::Auto};
     for (int trial = 0; trial < 8; ++trial) {
         const RandomProblem p = randomProblem(rng);
-        for (PdnSolverKind kind : kinds) {
-            PdnMesh mesh = buildMesh(p, kind);
-            const PdnSolution sol = mesh.solve();
-            EXPECT_TRUE(sol.converged)
-                << "trial " << trial << " kind "
-                << static_cast<int>(kind);
-            EXPECT_LT(mesh.kclResidualMax(sol),
-                      p.cfg.tolerance * 10.0)
-                << "trial " << trial << " kind "
-                << static_cast<int>(kind);
+        const PdnMesh mesh = buildMesh(p);
+        const PdnSolution sol = mesh.solve();
+        const int n = p.cfg.size;
+        const double g = p.cfg.sheetConductance;
+
+        std::vector<double> load(static_cast<size_t>(n) * n, 0.0);
+        double total = 0.0;
+        for (const auto &ld : p.loads) {
+            const double per_node = ld.amps / (ld.rows * ld.cols);
+            for (int r = ld.row0; r < ld.row0 + ld.rows; ++r)
+                for (int c = ld.col0; c < ld.col0 + ld.cols; ++c)
+                    load[mesh.nodeIndex(r, c)] += per_node;
+            total += ld.amps;
         }
+        const std::vector<double> &v = sol.voltage;
+        double worst = 0.0;
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c) {
+                const size_t i = mesh.nodeIndex(r, c);
+                double out = load[i];
+                if (r > 0)
+                    out += g * (v[i] - v[i - n]);
+                if (r + 1 < n)
+                    out += g * (v[i] - v[i + n]);
+                if (c > 0)
+                    out += g * (v[i] - v[i - 1]);
+                if (c + 1 < n)
+                    out += g * (v[i] - v[i + 1]);
+                if (mesh.isBump(r, c))
+                    out -= p.cfg.bumpConductance * (p.cfg.vdd - v[i]);
+                worst = std::max(worst, std::fabs(out));
+            }
+        EXPECT_LE(worst, 1e-10) << "trial " << trial << " size " << n;
+        EXPECT_NEAR(sol.bumpCurrentA, total, 1e-11 * total)
+            << "trial " << trial << " size " << n;
     }
 }
 
-TEST(SolverProperty, RedBlackAgreesWithLexicographic)
+TEST(SolverProperty, TransientStepIsDcSolveWithoutStorage)
 {
-    // Orderings converge to the same fixed point: the red-black
-    // sweeps and the seed's lexicographic sweeps solve the same
-    // linear system, so at tolerance their voltage maps agree to
-    // residual/conductance scale.
-    std::mt19937_64 rng(7);
-    for (int trial = 0; trial < 6; ++trial) {
-        const RandomProblem p = randomProblem(rng);
-        const PdnSolution lex =
-            buildMesh(p, PdnSolverKind::Lexicographic).solve();
-        const PdnSolution rb =
-            buildMesh(p, PdnSolverKind::RedBlack).solve();
-        ASSERT_EQ(lex.voltage.size(), rb.voltage.size());
-        for (size_t i = 0; i < lex.voltage.size(); ++i)
-            EXPECT_NEAR(lex.voltage[i], rb.voltage[i], 1e-6)
-                << "trial " << trial << " node " << i;
-    }
-}
-
-TEST(SolverProperty, MultigridAgreesWithDirectSorFixedPoint)
-{
-    // The V-cycle is only a faster route to the same fixed point:
-    // multigrid answers must match direct red-black SOR at
-    // tolerance on every randomized problem.
-    std::mt19937_64 rng(99);
-    for (int trial = 0; trial < 6; ++trial) {
-        const RandomProblem p = randomProblem(rng);
-        const PdnSolution mg =
-            buildMesh(p, PdnSolverKind::Multigrid).solve();
-        const PdnSolution rb =
-            buildMesh(p, PdnSolverKind::RedBlack).solve();
-        ASSERT_EQ(mg.voltage.size(), rb.voltage.size());
-        for (size_t i = 0; i < mg.voltage.size(); ++i)
-            EXPECT_NEAR(mg.voltage[i], rb.voltage[i], 1e-6)
-                << "trial " << trial << " node " << i;
-    }
-}
-
-TEST(SolverProperty, MultigridConvergesInFewCycles)
-{
-    // The point of the V-cycle: cold-solve cost that stays O(10)
-    // cycles as the mesh grows, where plain SOR needs hundreds of
-    // sweeps.  48 is the solver default size.
-    PdnMeshConfig cfg;
-    cfg.size = 48;
-    cfg.solver = PdnSolverKind::Multigrid;
-    PdnMesh mesh(cfg);
-    mesh.addBlockLoad(8, 8, 24, 24, 3.0);
-    const PdnSolution mg = mesh.solve();
-    EXPECT_TRUE(mg.converged);
-    EXPECT_LE(mg.iterations, 30);
-
-    PdnMeshConfig rbCfg = cfg;
-    rbCfg.solver = PdnSolverKind::RedBlack;
-    PdnMesh rbMesh(rbCfg);
-    rbMesh.addBlockLoad(8, 8, 24, 24, 3.0);
-    const PdnSolution rb = rbMesh.solve();
-    EXPECT_TRUE(rb.converged);
-    EXPECT_GT(rb.iterations, mg.iterations * 4);
-}
-
-TEST(SolverProperty, WarmStartNeverWorseThanCold)
-{
-    // Warm-started red-black re-solves after a perturbation must
-    // never need more sweeps than the equivalent cold solve -- the
-    // property the droop backends' per-window loop is built on.
-    std::mt19937_64 rng(1234);
-    std::uniform_real_distribution<double> frac(0.001, 0.2);
-    for (int trial = 0; trial < 6; ++trial) {
-        const RandomProblem p = randomProblem(rng);
-        PdnMesh mesh = buildMesh(p, PdnSolverKind::RedBlack);
-        const PdnSolution base = mesh.solve();
-        // Perturb the first load by 0.1%..20% and re-solve.
-        const auto &ld = p.loads.front();
-        mesh.addBlockLoad(ld.row0, ld.col0, ld.rows, ld.cols,
-                          ld.amps * frac(rng));
-        const PdnSolution cold = mesh.solve();
-        const PdnSolution warm = mesh.solve(&base);
-        EXPECT_LE(warm.iterations, cold.iterations)
-            << "trial " << trial;
-        EXPECT_TRUE(warm.converged);
-    }
-}
-
-TEST(SolverProperty, ThreadCountBitIdentity)
-{
-    // The parallel red-black path must produce bit-identical voltage
-    // maps at every thread count: half-sweeps only read the opposite
-    // colour, so row chunking cannot change any node's arithmetic,
-    // and the residual is a fixed-order max-reduction.  48 exceeds
-    // the solver's internal parallel threshold.
-    for (PdnSolverKind kind :
-         {PdnSolverKind::RedBlack, PdnSolverKind::Multigrid}) {
-        PdnMeshConfig cfg;
-        cfg.size = 48;
-        cfg.solver = kind;
-        PdnMesh mesh(cfg);
-        mesh.addBlockLoad(4, 4, 20, 20, 2.5);
-        mesh.addBlockLoad(30, 28, 10, 12, 1.25);
-
-        const PdnSolution serial = mesh.solve();
-        for (int threads : {1, 2, 4}) {
-            aim::exec::ExecPool pool(threads);
-            const PdnSolution par = mesh.solve(nullptr, &pool);
-            ASSERT_EQ(par.voltage.size(), serial.voltage.size());
-            for (size_t i = 0; i < par.voltage.size(); ++i)
-                ASSERT_EQ(par.voltage[i], serial.voltage[i])
-                    << "kind " << static_cast<int>(kind)
-                    << " threads " << threads << " node " << i;
-            EXPECT_EQ(par.iterations, serial.iterations);
-            EXPECT_EQ(par.residual, serial.residual);
-        }
-    }
-}
-
-TEST(SolverProperty, TransientStepIsRbDcSolveWithoutStorage)
-{
-    // With C = L = 0 the backward-Euler step and the warm-started DC
-    // solve are the same sweep kernel on the same arrays -- the
-    // voltages must match bit for bit, not just within tolerance.
+    // With C = L = 0 the backward-Euler system is the DC system: the
+    // step reuses the mesh's DC factor and the same substitution, so
+    // the voltages must match solve() bit for bit, not just within
+    // rounding.
     PdnMeshConfig cfg;
     cfg.size = 16;
     cfg.bumpPitch = 4;
     PdnMesh mesh(cfg);
     mesh.addBlockLoad(3, 3, 8, 8, 1.75);
-    const PdnSolution dc = mesh.solve();
-
-    PdnTransientState state = mesh.transientInit(dc);
+    PdnTransientState state = mesh.transientInit(mesh.solve());
     mesh.addBlockLoad(3, 3, 8, 8, 0.4); // step the demand
     mesh.stepTransient(1e-9, state);
-    const PdnSolution warm = mesh.solve(&dc);
+    const PdnSolution dc = mesh.solve();
 
-    ASSERT_EQ(state.sol.voltage.size(), warm.voltage.size());
-    for (size_t i = 0; i < warm.voltage.size(); ++i)
-        ASSERT_EQ(state.sol.voltage[i], warm.voltage[i]);
-    EXPECT_EQ(state.sol.iterations, warm.iterations);
-    EXPECT_EQ(state.sol.bumpCurrentA, warm.bumpCurrentA);
+    ASSERT_EQ(state.sol.voltage.size(), dc.voltage.size());
+    for (size_t i = 0; i < dc.voltage.size(); ++i)
+        ASSERT_EQ(state.sol.voltage[i], dc.voltage[i]);
+    EXPECT_EQ(state.sol.bumpCurrentA, dc.bumpCurrentA);
+    EXPECT_EQ(state.sol.bumpVoltage, dc.bumpVoltage);
 }
 
 TEST(SolverProperty, TransientStepSatisfiesImplicitKcl)
@@ -359,63 +254,30 @@ TEST(SolverProperty, ApplyLoadDeltasMatchesBlockLoads)
         EXPECT_NEAR(sa.voltage[i], sb.voltage[i], 1e-12);
 }
 
-TEST(SolverProperty, CappedSolveReportsNotConvergedThenRecovers)
-{
-    // The shared convergence contract the droop backends' quiet-
-    // window guard relies on: a solve stopped by its iteration cap
-    // says so via PdnSolution::converged, and repeated warm
-    // re-solves from that state eventually reach tolerance.
-    PdnMeshConfig cfg;
-    cfg.size = 16;
-    cfg.bumpPitch = 4;
-    cfg.solver = PdnSolverKind::RedBlack;
-    cfg.maxIterations = 2;
-    PdnMesh mesh(cfg);
-    mesh.addBlockLoad(4, 4, 8, 8, 2.0);
-
-    PdnSolution sol = mesh.solve();
-    EXPECT_FALSE(sol.converged);
-    int rounds = 0;
-    while (!sol.converged && rounds < 2000) {
-        mesh.resolve(sol);
-        ++rounds;
-    }
-    EXPECT_TRUE(sol.converged);
-    EXPECT_LT(sol.residual, cfg.tolerance);
-}
-
 TEST(SolverProperty, DefaultPathGoldens)
 {
-    // %.17g goldens for the new default (Auto) path at the solver's
-    // default geometry: a cold multigrid solve and a warm red-black
-    // re-solve after a perturbation.  Captured from the
-    // implementation this suite shipped with; drift here means the
-    // default solve path changed physics, not code shape.
-    PdnMeshConfig cfg; // size 48, Auto
+    // %.17g goldens of the direct solve at the solver's default
+    // geometry (48 x 48) and at 24 x 24 after a load change.  Drift
+    // here means the solve changed physics, not code shape.
+    PdnMeshConfig cfg;
     PdnMesh mesh(cfg);
     mesh.addBlockLoad(6, 6, 16, 16, 2.0);
     mesh.addBlockLoad(30, 10, 8, 24, 1.0);
-    const PdnSolution cold = mesh.solve();
-    EXPECT_TRUE(cold.converged);
-    EXPECT_EQ(cold.iterations, 8); // V-cycles, not sweeps
-    EXPECT_DOUBLE_EQ(cold.worstDropMv(cfg.vdd),
-                     4.8319288024731843);
-    EXPECT_DOUBLE_EQ(cold.meanDropMv(cfg.vdd),
-                     1.0637271317515458);
-    EXPECT_DOUBLE_EQ(cold.bumpCurrentA, 2.9999993531443794);
-    EXPECT_DOUBLE_EQ(cold.bumpVoltage, 0.74947916677896775);
+    const PdnSolution big = mesh.solve();
+    EXPECT_DOUBLE_EQ(big.worstDropMv(cfg.vdd), 4.8319288528266835);
+    EXPECT_DOUBLE_EQ(big.meanDropMv(cfg.vdd), 1.0637275001407209);
+    EXPECT_DOUBLE_EQ(big.bumpCurrentA, 3.0000000000002491);
+    EXPECT_DOUBLE_EQ(big.bumpVoltage, 0.7494791666666667);
 
     PdnMeshConfig rcfg = cfg;
     rcfg.size = 24;
     rcfg.bumpPitch = 6;
     PdnMesh small(rcfg);
     small.addBlockLoad(4, 4, 10, 10, 1.5);
-    const PdnSolution base = small.solve();
+    small.solve();
     small.addBlockLoad(4, 4, 10, 10, 0.05);
-    const PdnSolution warm = small.solve(&base);
-    EXPECT_TRUE(warm.converged);
-    EXPECT_DOUBLE_EQ(warm.worstDropMv(rcfg.vdd),
-                     6.6890204496607986);
-    EXPECT_DOUBLE_EQ(warm.bumpCurrentA, 1.54999991411916);
-    EXPECT_EQ(warm.iterations, 90); // red-black sweeps
+    const PdnSolution stepped = small.solve();
+    EXPECT_DOUBLE_EQ(stepped.worstDropMv(rcfg.vdd),
+                     6.6890206669890651);
+    EXPECT_DOUBLE_EQ(stepped.bumpCurrentA, 1.5499999999998926);
 }

@@ -132,10 +132,11 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
 {
     // Bit-exact regression of the transient backend's headline
     // numbers on a fixed zoo model (captured at %.17g from the
-    // direct factored transient step): any refactor of the
-    // PdnMesh implicit step, the TransientBackend eval or the
-    // options plumbing that changes simulated physics -- rather than
-    // code shape -- trips this before it drifts a paper figure.
+    // direct factored transient step, cold-started from the exact
+    // DC point): any refactor of the PdnMesh implicit step, the
+    // TransientBackend eval or the options plumbing that changes
+    // simulated physics -- rather than code shape -- trips this
+    // before it drifts a paper figure.
     AimPipeline pipe(pim::PimConfig{},
                      power::defaultCalibration());
     AimOptions o = test::fastServeOptions();
@@ -144,9 +145,28 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
                  {1788.0701754385955, 91202177, 249.49070605821487,
-                  4.6166302149688372, 191.87157457830952,
-                  35.715592013259091, 163L, 73L, 735L, 8L,
+                  4.6166302149688372, 191.87156508152921,
+                  35.715583963769717, 163L, 73L, 735L, 8L,
                   41.258126578390552, 0.11054607445308388});
+}
+
+TEST(BackendGolden, MeshResNet18HeadlineDroop)
+{
+    // The Mesh twin of the transient headline: the layout-level
+    // reference backend on the same fixture, so a change to the DC
+    // solve, the MeshBackend eval or its dirty-group gating that
+    // moves simulated physics shows here.
+    AimPipeline pipe(pim::PimConfig{},
+                     power::defaultCalibration());
+    AimOptions o = test::fastServeOptions();
+    o.irBackend = power::IrBackendKind::Mesh;
+    const auto compiled = pipe.compile(workload::resnet18(), o);
+    const auto rep = pipe.execute(compiled);
+    expectGolden(rep.run,
+                 {1570.5263157894728, 91202177, 292.286029910526,
+                  4.6231420881600984, 71.773773254567175,
+                  33.93647096578902, 0L, 3L, 735L, 16L,
+                  32.445725026226825, 0.11062199821270943});
 }
 
 TEST(BackendGolden, ExplicitAnalyticMatchesDefault)

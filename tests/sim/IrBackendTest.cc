@@ -114,11 +114,9 @@ TEST(IrBackend, MeshCalibratedToEquation2Anchor)
 
 TEST(IrBackend, MeshConvergesUnderConstantDemand)
 {
-    // A capped per-window solve may leave the voltage map far from
-    // consistent (the first window starts at the full-activity
-    // baseline).  Quiet windows -- demand inside rtogThreshold --
-    // must keep iterating until tolerance instead of freezing the
-    // stale map, so a constant load settles on Equation 2's level.
+    // A constant load -- every window after the first inside
+    // rtogThreshold, so only the first solves -- must sit on
+    // Equation 2's level.
     power::IrBackendConfig bc;
     bc.kind = power::IrBackendKind::Mesh;
     const auto cal = power::defaultCalibration();
@@ -143,6 +141,42 @@ TEST(IrBackend, MeshConvergesUnderConstantDemand)
     EXPECT_NEAR(mean, ir.dropMv(0.75, 1.0, 0.10), 1.0);
 }
 
+TEST(IrBackend, MeshWindowIsMemoryless)
+{
+    // The mesh is a resistive network, so a window's droop is a
+    // function of that window's demand alone.  With the noise off and
+    // every group's Rtog stepped past rtogThreshold on each window
+    // (every window re-solves), a long-running eval must report what
+    // a fresh eval reports on its first window at the same demand.
+    power::IrBackendConfig bc;
+    bc.kind = power::IrBackendKind::Mesh;
+    auto cal = power::defaultCalibration();
+    cal.dpimNoiseMv = 0.0;
+    const power::MeshBackend bk(bc, cal);
+
+    const double base[] = {0.10, 0.30, 0.12, 0.45, 0.20, 0.05,
+                           0.25, 0.50};
+    auto eval = bk.newEval(fullLayout());
+    util::Rng rng(3);
+    std::vector<double> drops(16, 0.0);
+    for (int w = 0; w < 24; ++w) {
+        auto gw = uniformWindow(0.0);
+        for (int g = 0; g < 16; ++g)
+            gw[static_cast<size_t>(g)].rtog =
+                base[w % 8] * (1.0 + 0.04 * g);
+        eval->window(gw, rng, drops);
+
+        auto fresh = bk.newEval(fullLayout());
+        util::Rng fresh_rng(3);
+        std::vector<double> fresh_drops(16, 0.0);
+        fresh->window(gw, fresh_rng, fresh_drops);
+        for (int g = 0; g < 16; ++g)
+            EXPECT_NEAR(drops[static_cast<size_t>(g)],
+                        fresh_drops[static_cast<size_t>(g)], 1e-9)
+                << "window " << w << " group " << g;
+    }
+}
+
 TEST(IrBackend, MeshSeesNeighbourCoupling)
 {
     // The same group droops more when the rest of the chip is also
@@ -163,7 +197,8 @@ TEST(IrBackend, MeshSeesNeighbourCoupling)
         solo[static_cast<size_t>(g)].active = g == 5;
     solo[5].rtog = 0.4;
     auto eval_a = bk.newEval(fullLayout());
-    // Repeat a few windows so the warm solver settles.
+    // A few windows at one demand (the solve is exact; only the
+    // first re-solves).
     for (int w = 0; w < 8; ++w)
         eval_a->window(solo, rng_a, drops_alone);
 
