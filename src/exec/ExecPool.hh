@@ -24,6 +24,14 @@
  * threads == 1 never spawns: everything runs inline on the calling
  * thread, which is the reference serial schedule that N-thread runs
  * are tested against (tests/serve/FleetParallelTest).
+ *
+ * Never call parallelFor() or drain() from inside a task of the same
+ * pool: drain() waits until the pool's in-flight count reaches zero,
+ * and that count includes the calling task, so the call never
+ * returns.  Library code that fans out internally therefore owns its
+ * pool -- quant::QatTrainer::run trains a network's layers on a pool
+ * it creates per call, and may itself run inside another pool's
+ * workers (bench_fig18_beta_sweep compiles inside SweepDriver).
  */
 
 #ifndef AIM_EXEC_EXECPOOL_HH

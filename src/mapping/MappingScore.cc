@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "booster/LevelPolicy.hh"
 #include "util/Logging.hh"
@@ -53,10 +54,31 @@ MappingEvaluator::evaluate(const Mapping &mapping,
                             : table.lowPowerPair(level);
     }
 
-    // Per-set work and frequency (sets sync to their slowest group).
-    std::map<int, double> set_cycles;
-    std::map<int, double> set_freq;
-    std::map<int, std::set<int>> set_groups;
+    // Per-set work and frequency (sets sync to their slowest group),
+    // in dense arrays over the mapped Set ids [lo, hi]: the annealer
+    // evaluates hundreds of candidates per round, so no per-Set node
+    // allocation.  Ascending index is ascending Set id, which fixes
+    // the floating-point accumulation order.
+    int lo = std::numeric_limits<int>::max();
+    int hi = std::numeric_limits<int>::min();
+    for (int t : mapping.taskOfMacro) {
+        if (t < 0)
+            continue;
+        lo = std::min(lo, tasks[t].setId);
+        hi = std::max(hi, tasks[t].setId);
+    }
+    const size_t sets = hi >= lo ? static_cast<size_t>(hi - lo) + 1 : 0;
+    const size_t groups = static_cast<size_t>(cfg.groups);
+    struct SetAcc
+    {
+        double cycles = 0.0;
+        double freq = 0.0;
+        double stalls = 0.0;
+        bool present = false; ///< some macro runs a task of this Set
+        bool stalled = false; ///< some group hosting it fails
+    };
+    std::vector<SetAcc> acc(sets);
+    std::vector<uint8_t> hosts(sets * groups, 0); ///< [set][group]
     const double macs_per_cycle =
         static_cast<double>(cfg.macsPerMacroPerPass()) / cfg.inputBits;
     for (int m = 0; m < mapping.macros(); ++m) {
@@ -64,19 +86,19 @@ MappingEvaluator::evaluate(const Mapping &mapping,
         if (t < 0)
             continue;
         const int g = Mapping::groupOf(m, cfg);
-        const int s = tasks[t].setId;
+        const size_t k = static_cast<size_t>(tasks[t].setId - lo);
+        SetAcc &a = acc[k];
         const double cycles =
             static_cast<double>(tasks[t].macs) / macs_per_cycle;
-        set_cycles[s] = std::max(set_cycles[s], cycles);
+        a.cycles = std::max(a.cycles, cycles);
         const double f = group_pair[g].fGhz;
-        auto it = set_freq.find(s);
-        set_freq[s] = it == set_freq.end() ? f : std::min(it->second, f);
-        set_groups[s].insert(g);
+        a.freq = a.present ? std::min(a.freq, f) : f;
+        a.present = true;
+        hosts[k * groups + static_cast<size_t>(g)] = 1;
     }
 
     // Expected IRFailure stalls: replay the flip sequence; a group
     // whose worst task exceeds its level stalls every set it hosts.
-    std::map<int, double> set_stalls;
     for (int g = 0; g < cfg.groups; ++g) {
         if (worst_hr[g] <= 0.0)
             continue;
@@ -90,25 +112,25 @@ MappingEvaluator::evaluate(const Mapping &mapping,
             continue;
         const double stall =
             static_cast<double>(failures) / flipSeq.size();
-        for (auto &[s, groups] : set_groups)
-            if (groups.count(g))
-                set_stalls[s] +=
-                    stall * cal.recomputePenaltyCycles;
+        for (size_t k = 0; k < sets; ++k)
+            if (hosts[k * groups + static_cast<size_t>(g)]) {
+                acc[k].stalls += stall * cal.recomputePenaltyCycles;
+                acc[k].stalled = true;
+            }
     }
 
     ScoreBreakdown out;
-    for (auto &[s, cycles] : set_cycles) {
-        const double f = std::max(set_freq[s], 1e-9);
+    for (const SetAcc &a : acc) {
+        if (!a.present)
+            continue;
+        const double f = std::max(a.freq, 1e-9);
         const double stall_frac =
-            set_stalls.count(s)
-                ? set_stalls[s] / cal.recomputePenaltyCycles
-                : 0.0;
+            a.stalled ? a.stalls / cal.recomputePenaltyCycles : 0.0;
         const double eff_cycles =
-            cycles * (1.0 + stall_frac) +
-            (set_stalls.count(s) ? set_stalls[s] : 0.0);
+            a.cycles * (1.0 + stall_frac) + a.stalls;
         out.makespanCycles =
             std::max(out.makespanCycles, eff_cycles / f);
-        out.stallCycles += set_stalls.count(s) ? set_stalls[s] : 0.0;
+        out.stallCycles += a.stalls;
     }
 
     // Energy: active groups burn their operating-point power for the

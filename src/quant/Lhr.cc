@@ -65,13 +65,4 @@ lhrLoss(std::span<const double> layerHrs)
     return acc;
 }
 
-double
-lhrWeightGradient(double layerHr, double slope, size_t n, double scale)
-{
-    if (n == 0)
-        return 0.0;
-    return 2.0 * layerHr * slope /
-           (static_cast<double>(n) * scale);
-}
-
 } // namespace aim::quant

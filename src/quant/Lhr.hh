@@ -12,7 +12,8 @@
  *
  * Equation 6 defines the network loss term: the sum over layers of the
  * squared per-layer average HR, which preferentially penalizes the
- * layers with the highest HR.
+ * layers with the highest HR.  Its per-weight gradient, in scaled
+ * (LSB) units, is applied by QatTrainer::trainLayer.
  */
 
 #ifndef AIM_QUANT_LHR_HH
@@ -58,18 +59,6 @@ double layerInterpolatedHr(std::span<const float> w, double scale, int q);
  * @param layerHrs per-layer average HR values
  */
 double lhrLoss(std::span<const double> layerHrs);
-
-/**
- * Gradient of the Equation 6 loss with respect to one weight:
- *   d/dw [ HR_layer^2 ] = 2 * HR_layer * slope(w/s) / (n * s)
- *
- * @param layerHr  current layer average HR
- * @param slope    segment slope at this weight (from interpolatedHr)
- * @param n        number of weights in the layer
- * @param scale    quantization scale
- */
-double lhrWeightGradient(double layerHr, double slope, size_t n,
-                         double scale);
 
 } // namespace aim::quant
 

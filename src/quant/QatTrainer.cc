@@ -5,6 +5,7 @@
 #include <functional>
 #include <string>
 
+#include "exec/ExecPool.hh"
 #include "quant/Hamming.hh"
 #include "quant/Lhr.hh"
 #include "util/Logging.hh"
@@ -133,11 +134,18 @@ QatTrainer::trainLayer(FloatLayer &layer, double scale) const
     double lr = cfg.lr;
     double sigma = lhr_on ? cfg.noiseLsb : 0.0;
     double layer_hr = 0.0;
+    // Each weight's Equation 5 slope at this epoch's u[i]: the HR pass
+    // evaluates it once and the update below reads it back.
+    std::vector<double> slope(lhr_on ? n : 0);
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         // Layer average interpolated HR (Equation 5 over the layer).
         double hr_acc = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            hr_acc += interpolatedHr(u[i], cfg.bits).value;
+        for (size_t i = 0; i < n; ++i) {
+            const HrInterp hr = interpolatedHr(u[i], cfg.bits);
+            hr_acc += hr.value;
+            if (lhr_on)
+                slope[i] = hr.slope;
+        }
         layer_hr = hr_acc * inv_n;
 
         for (size_t i = 0; i < n; ++i) {
@@ -155,12 +163,8 @@ QatTrainer::trainLayer(FloatLayer &layer, double scale) const
                                   : d + cfg.deadzoneLsb);
             // Equation 6 gradient: 2 * HR_l * slope (per weight, the
             // 1/n of HR_l and the sum over weights cancel).
-            double lhr_grad = 0.0;
-            if (lhr_on) {
-                const double slope =
-                    interpolatedHr(u[i], cfg.bits).slope;
-                lhr_grad = cfg.lambda * 2.0 * layer_hr * slope;
-            }
+            const double lhr_grad =
+                lhr_on ? cfg.lambda * 2.0 * layer_hr * slope[i] : 0.0;
             u[i] -= lr * (anchor + lhr_grad);
             // Mini-batch gradient noise stand-in: lets weights hop
             // shallow hamming bumps early on (decays to zero).
@@ -179,23 +183,40 @@ QatTrainer::trainLayer(FloatLayer &layer, double scale) const
 QatResult
 QatTrainer::run(std::vector<FloatLayer> &layers) const
 {
+    const size_t n = layers.size();
     QatResult res;
-    res.layers.reserve(layers.size());
+    res.layers.resize(n);
+    res.layerHr.resize(n);
+    res.layerDevLsb2.resize(n);
+    res.layerExcessLsb2.resize(n);
     QuantSpec spec;
     spec.bits = cfg.bits;
-    for (auto &layer : layers) {
+    const auto trains = [this](const FloatLayer &layer) {
+        return cfg.lambda > 0.0 || !layer.mask.empty();
+    };
+
+    // One worker per training layer, up to the hardware concurrency;
+    // with at most one the pool runs inline and spawns no thread.
+    // Items write only their own index slots, so any thread count
+    // gives the serial result.
+    const long training = std::count_if(layers.begin(), layers.end(),
+                                        trains);
+    exec::ExecPool pool(static_cast<int>(std::clamp<long>(
+        training, 1, exec::ExecPool::resolveThreads(0))));
+    pool.parallelFor(static_cast<long>(n), [&](long i) {
+        FloatLayer &layer = layers[i];
         // The scale is frozen from the pretrained tensor, as in the
         // paper's setup where LHR plugs into an existing quantizer.
         const double scale = computeScaleAbsMax(layer.pretrained, spec);
-        if (cfg.lambda > 0.0 || !layer.mask.empty())
+        if (trains(layer))
             trainLayer(layer, scale);
         QuantizedLayer q = finishLayer(layer, scale, cfg.bits);
-        res.layerHr.push_back(q.hr());
-        res.layerDevLsb2.push_back(deviationLsb2(q, layer, scale));
-        res.layerExcessLsb2.push_back(
-            excessLsb2(q, layer, scale, cfg.deadzoneLsb));
-        res.layers.push_back(std::move(q));
-    }
+        res.layerHr[i] = q.hr();
+        res.layerDevLsb2[i] = deviationLsb2(q, layer, scale);
+        res.layerExcessLsb2[i] =
+            excessLsb2(q, layer, scale, cfg.deadzoneLsb);
+        res.layers[i] = std::move(q);
+    });
     return res;
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "mapping/Mappers.hh"
 #include "power/PowerModel.hh"
 #include "power/VfTable.hh"
@@ -226,4 +228,112 @@ TEST(MappingEvaluator, StallsGrowWithAggressiveHr)
     const auto m = mapSequential(tasks, f.cfg);
     const auto s = eval.evaluate(m, tasks);
     EXPECT_GE(s.stallCycles, 0.0);
+}
+
+namespace
+{
+
+/**
+ * The golden workload: 50 tasks on the default 64-macro chip (14
+ * macros vacant), Set ids with gaps and no Set 0, input-determined
+ * tiles, and a hot task in every fifth slot whose groups stall.
+ */
+std::vector<Task>
+goldenTasks()
+{
+    const int sets[] = {3, 4, 7, 12, 13, 20, 31};
+    aim::util::Rng rng(2024);
+    std::vector<Task> tasks;
+    for (int i = 0; i < 50; ++i) {
+        Task t;
+        t.setId = sets[rng.uniformInt(0, 6)];
+        t.hr = i % 5 == 0 ? rng.uniform(0.60, 0.80)
+                          : rng.uniform(0.15, 0.50);
+        t.inputDetermined = rng.bernoulli(0.15);
+        t.macs = rng.uniformInt(100'000, 5'000'000);
+        tasks.push_back(t);
+    }
+    return tasks;
+}
+
+void
+printBreakdown(const ScoreBreakdown &s)
+{
+    std::printf("    {%.17g, %.17g, %.17g, %.17g, %.17g},\n", s.score,
+                s.makespanCycles, s.energy, s.stallCycles,
+                s.meanGroupPowerMw);
+}
+
+} // namespace
+
+TEST(MappingEvaluator, ScoreGolden)
+{
+    // Exact scores of the evaluator, captured from the std::map-based
+    // implementation: {score, makespanCycles, energy, stallCycles,
+    // meanGroupPowerMw} for the sequential, random and HR-aware
+    // mappings of goldenTasks() under Sprint, then LowPower.  Only
+    // the physical directions are checked elsewhere; these pin the
+    // bits, including the accumulation order over Sets.
+    aim::pim::PimConfig cfg;
+    const VfTable table{defaultCalibration()};
+    const PowerModel pm{defaultCalibration()};
+    const auto tasks = goldenTasks();
+    const MappingEvaluator sprint(cfg, table, pm, Objective::Sprint, 5);
+    const MappingEvaluator low(cfg, table, pm, Objective::LowPower, 5);
+
+    aim::util::Rng rng(77);
+    const Mapping hra = mapHrAware(tasks, cfg, sprint);
+    const Mapping maps[] = {mapSequential(tasks, cfg),
+                            mapRandom(tasks, cfg, rng), hra};
+
+    const ScoreBreakdown golden[] = {
+        {24997.544579197936, 6734.3176314742468, 2711963.9950403683,
+         114.88, 30.977543148263521},
+        {18044.925172016559, 5529.9269929108805, 2263139.8561227564,
+         123.84000000000002, 25.578319784149059},
+        {9536.2877708888063, 3762.1826895254621, 1534775.3040912675,
+         65.600000000000009, 27.196540426108413},
+        {2560702.2490161215, 7273.0630419921872, 2438780.011952166,
+         114.88, 25.793597742069515},
+        {2056921.3107953547, 5972.3211523437512, 1958988.2939145444,
+         123.84000000000002, 20.500700690151348},
+        {1400337.887858334, 4063.1573046874996, 1333670.7576896192,
+         65.600000000000009, 21.882338580246735},
+    };
+    const std::vector<int> golden_hra = {
+        0,  1,  13, 17, 46, 5,  38, 26, 7,  -1, -1, 14, 24,
+        43, 8,  16, 20, 35, 18, 19, 48, 23, 22, 40, -1, 4,
+        21, 42, 32, 28, 30, 11, 3,  33, 47, -1, 12, 37, 25,
+        10, 39, 9,  27, 15, 41, 45, 31, 29, -1, -1, 6,  34,
+        -1, 44, -1, -1, -1, -1, -1, -1, 36, -1, 2,  49};
+
+    int k = 0;
+    bool stalled = false;
+    for (const MappingEvaluator *eval : {&sprint, &low}) {
+        for (const Mapping &m : maps) {
+            const ScoreBreakdown s = eval->evaluate(m, tasks);
+            const ScoreBreakdown &g = golden[k++];
+            EXPECT_EQ(s.score, g.score) << "case " << k - 1;
+            EXPECT_EQ(s.makespanCycles, g.makespanCycles)
+                << "case " << k - 1;
+            EXPECT_EQ(s.energy, g.energy) << "case " << k - 1;
+            EXPECT_EQ(s.stallCycles, g.stallCycles) << "case " << k - 1;
+            EXPECT_EQ(s.meanGroupPowerMw, g.meanGroupPowerMw)
+                << "case " << k - 1;
+            stalled |= s.stallCycles > 0.0;
+        }
+    }
+    EXPECT_TRUE(stalled) << "the golden workload must exercise stalls";
+    EXPECT_EQ(hra.taskOfMacro, golden_hra);
+
+    if (::testing::Test::HasFailure()) {
+        std::printf("observed breakdowns:\n");
+        for (const MappingEvaluator *eval : {&sprint, &low})
+            for (const Mapping &m : maps)
+                printBreakdown(eval->evaluate(m, tasks));
+        std::printf("observed HR-aware taskOfMacro:\n   ");
+        for (int t : hra.taskOfMacro)
+            std::printf(" %d,", t);
+        std::printf("\n");
+    }
 }

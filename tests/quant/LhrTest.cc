@@ -106,11 +106,3 @@ TEST(Lhr, LossPenalizesPeakLayers)
     std::vector<double> peaked = {0.6, 0.2};
     EXPECT_GT(lhrLoss(peaked), lhrLoss(flat));
 }
-
-TEST(Lhr, WeightGradientShape)
-{
-    const double g = lhrWeightGradient(0.5, -1.0, 100, 0.01);
-    // 2 * 0.5 * -1 / (100 * 0.01) = -1
-    EXPECT_DOUBLE_EQ(g, -1.0);
-    EXPECT_DOUBLE_EQ(lhrWeightGradient(0.5, -1.0, 0, 0.01), 0.0);
-}

@@ -189,3 +189,70 @@ TEST(QatLhr, FourBitTraining)
     const QatResult opt = QatTrainer(cfg).run(lhr_layers);
     EXPECT_LT(opt.hrAverage(), base.hrAverage());
 }
+
+namespace
+{
+
+/** Field-for-field equality of one layer's QAT outcome. */
+void
+expectSameLayer(const QatResult &a, size_t ia, const QatResult &b,
+                size_t ib, const FloatLayer &la, const FloatLayer &lb)
+{
+    EXPECT_EQ(la.weights, lb.weights) << la.name;
+    EXPECT_EQ(a.layers[ia].values, b.layers[ib].values) << la.name;
+    EXPECT_EQ(a.layers[ia].scale, b.layers[ib].scale) << la.name;
+    EXPECT_EQ(a.layerHr[ia], b.layerHr[ib]) << la.name;
+    EXPECT_EQ(a.layerDevLsb2[ia], b.layerDevLsb2[ib]) << la.name;
+    EXPECT_EQ(a.layerExcessLsb2[ia], b.layerExcessLsb2[ib]) << la.name;
+}
+
+} // namespace
+
+TEST(QatLhr, LayersTrainIndependently)
+{
+    // A layer's outcome depends on its own weights, name and the
+    // config only -- never on which other layers share the run or on
+    // how run() schedules them.  Nine layers of mixed sizes, one
+    // pruned: the whole network must equal each layer trained alone,
+    // and two whole runs must agree bit for bit.
+    struct Shape
+    {
+        const char *name;
+        int rows;
+        int cols;
+    };
+    const Shape shapes[] = {{"stem", 8, 8},    {"b1", 16, 48},
+                            {"b2", 64, 32},    {"wide", 4, 200},
+                            {"pruned", 32, 32}, {"b3", 96, 16},
+                            {"tiny", 1, 7},    {"b4", 24, 72},
+                            {"head", 48, 48}};
+    std::vector<FloatLayer> net;
+    for (int i = 0; i < 9; ++i)
+        net.push_back(gaussianLayer(shapes[i].name, shapes[i].rows,
+                                    shapes[i].cols,
+                                    0.01 + 0.01 * (i % 4), 40 + i));
+    net[4].mask.assign(net[4].weights.size(), 1);
+    for (size_t i = 0; i < net[4].mask.size(); i += 3)
+        net[4].mask[i] = 0;
+
+    QatConfig cfg;
+    cfg.lambda = 2.0;
+    const QatTrainer trainer(cfg);
+
+    std::vector<FloatLayer> whole = net;
+    const QatResult all = trainer.run(whole);
+    std::vector<FloatLayer> again = net;
+    const QatResult rerun = trainer.run(again);
+    ASSERT_EQ(all.layers.size(), net.size());
+    ASSERT_EQ(all.layerHr.size(), net.size());
+    ASSERT_EQ(all.layerDevLsb2.size(), net.size());
+    ASSERT_EQ(all.layerExcessLsb2.size(), net.size());
+
+    for (size_t i = 0; i < net.size(); ++i) {
+        std::vector<FloatLayer> alone = {net[i]};
+        const QatResult one = trainer.run(alone);
+        ASSERT_EQ(one.layers.size(), 1u);
+        expectSameLayer(all, i, one, 0, whole[i], alone[0]);
+        expectSameLayer(all, i, rerun, i, whole[i], again[i]);
+    }
+}
