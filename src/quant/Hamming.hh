@@ -32,6 +32,13 @@ hrOfInt(int64_t v, int q)
            static_cast<double>(q);
 }
 
+/**
+ * hrOfInt of every q-bit integer, indexed by v - intMin(q), for
+ * 2 <= q <= 16.  Each width's table is built once, on first use,
+ * and is read-only afterwards (safe to share across threads).
+ */
+std::span<const double> hrTable(int q);
+
 } // namespace aim::quant
 
 #endif // AIM_QUANT_HAMMING_HH

@@ -12,32 +12,33 @@ namespace aim::quant
 HrInterp
 interpolatedHr(double x, int q)
 {
+    const std::span<const double> hr = hrTable(q);
     const double lo = static_cast<double>(util::intMin(q));
     const double hi = static_cast<double>(util::intMax(q));
 
     HrInterp out;
     if (x <= lo) {
-        out.value = hrOfInt(util::intMin(q), q);
+        out.value = hr.front();
         out.slope = 0.0;
         return out;
     }
     if (x >= hi) {
-        out.value = hrOfInt(util::intMax(q), q);
+        out.value = hr.back();
         out.slope = 0.0;
         return out;
     }
 
     const double low = std::floor(x);
-    const double high = std::ceil(x);
-    const double hr_low = hrOfInt(static_cast<int64_t>(low), q);
-    if (low == high) {
+    const auto at = static_cast<size_t>(low - lo);
+    const double hr_low = hr[at];
+    if (low == x) {
         // Exactly on an integer: value is exact, segment slope is
         // undefined; report 0 so a converged weight stops moving.
         out.value = hr_low;
         out.slope = 0.0;
         return out;
     }
-    const double hr_high = hrOfInt(static_cast<int64_t>(high), q);
+    const double hr_high = hr[at + 1];
     const double p = x - low;
     out.value = (1.0 - p) * hr_low + p * hr_high;
     out.slope = hr_high - hr_low;

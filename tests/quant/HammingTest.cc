@@ -58,3 +58,17 @@ TEST(Hamming, PositiveCheaperThanNegativeNearZero)
     for (int m = 1; m <= 16; ++m)
         EXPECT_LT(hrOfInt(m, 8), hrOfInt(-m, 8));
 }
+
+TEST(Hamming, HrTableMatchesHrOfIntAtEveryWidth)
+{
+    for (int q = 2; q <= 16; ++q) {
+        const auto table = hrTable(q);
+        ASSERT_EQ(table.size(), size_t{1} << q) << "q=" << q;
+        for (int64_t v = aim::util::intMin(q); v <= aim::util::intMax(q);
+             ++v)
+            ASSERT_EQ(table[v - aim::util::intMin(q)], hrOfInt(v, q))
+                << "q=" << q << " v=" << v;
+        // Built once: a second call returns the same storage.
+        EXPECT_EQ(hrTable(q).data(), table.data());
+    }
+}

@@ -5,8 +5,43 @@
 
 #include "quant/Hamming.hh"
 #include "quant/Lhr.hh"
+#include "util/Rng.hh"
 
 using namespace aim::quant;
+
+namespace
+{
+
+/** Equation 5 straight from the definition: two hrOfInt calls. */
+HrInterp
+referenceInterpolatedHr(double x, int q)
+{
+    const auto lo = aim::util::intMin(q);
+    const auto hi = aim::util::intMax(q);
+    if (x <= static_cast<double>(lo))
+        return {hrOfInt(lo, q), 0.0};
+    if (x >= static_cast<double>(hi))
+        return {hrOfInt(hi, q), 0.0};
+    const double low = std::floor(x);
+    const double high = std::ceil(x);
+    const double hr_low = hrOfInt(static_cast<int64_t>(low), q);
+    if (low == high)
+        return {hr_low, 0.0};
+    const double hr_high = hrOfInt(static_cast<int64_t>(high), q);
+    const double p = x - low;
+    return {(1.0 - p) * hr_low + p * hr_high, hr_high - hr_low};
+}
+
+void
+expectSameBits(double x, int q)
+{
+    const HrInterp got = interpolatedHr(x, q);
+    const HrInterp want = referenceInterpolatedHr(x, q);
+    EXPECT_EQ(got.value, want.value) << "x=" << x << " q=" << q;
+    EXPECT_EQ(got.slope, want.slope) << "x=" << x << " q=" << q;
+}
+
+} // namespace
 
 TEST(Lhr, PaperAnchorMinusZeroPoint62)
 {
@@ -105,4 +140,28 @@ TEST(Lhr, LossPenalizesPeakLayers)
     std::vector<double> flat = {0.4, 0.4};
     std::vector<double> peaked = {0.6, 0.2};
     EXPECT_GT(lhrLoss(peaked), lhrLoss(flat));
+}
+
+TEST(Lhr, TableDrivenMatchesDefinitionBitForBit)
+{
+    aim::util::Rng rng(41);
+    for (int q = 2; q <= 16; ++q) {
+        const double lo = static_cast<double>(aim::util::intMin(q));
+        const double hi = static_cast<double>(aim::util::intMax(q));
+        // Random reals across (and a little beyond) the range.
+        for (int i = 0; i < 2000; ++i)
+            expectSameBits(rng.uniform(lo - 2.0, hi + 2.0), q);
+        // Exact integers, including both ends.
+        for (int64_t v = aim::util::intMin(q); v <= aim::util::intMax(q);
+             v += q < 10 ? 1 : 37)
+            expectSameBits(static_cast<double>(v), q);
+        expectSameBits(hi, q);
+        // Both clamp edges, at, just inside and just beyond.
+        for (double edge : {lo, hi}) {
+            expectSameBits(edge, q);
+            expectSameBits(std::nextafter(edge, 0.0), q);
+            expectSameBits(std::nextafter(edge, edge * 2.0), q);
+            expectSameBits(edge * 10.0, q);
+        }
+    }
 }
