@@ -1,6 +1,7 @@
 #include "pim/ToggleModel.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/BitOps.hh"
 #include "util/Logging.hh"
@@ -16,18 +17,29 @@ estimateToggleStats(const StreamSpec &spec, int rows, int vectors,
     aim_assert(rows > 0 && vectors > 0, "bad toggle estimation params");
     InputStreamGen gen(spec, util::Rng(seed));
 
+    // Bit-sliced: plane t holds bit t (cycle t) of every row's value,
+    // 64 rows per word, so a cycle's toggles are the popcount of its
+    // plane XOR the previous cycle's.
+    const size_t words = (static_cast<size_t>(rows) + 63) / 64;
+    const uint32_t mask = util::bitMask(spec.bits);
+    std::vector<uint64_t> planes(static_cast<size_t>(spec.bits) * words);
+    std::vector<uint64_t> last(words, 0);
     util::RunningStats rs;
-    std::vector<uint8_t> last(rows, 0);
     for (int v = 0; v < vectors; ++v) {
         const auto vec = gen.next(rows);
+        std::fill(planes.begin(), planes.end(), 0);
+        for (int k = 0; k < rows; ++k) {
+            const uint32_t value = static_cast<uint32_t>(vec[k]) & mask;
+            uint64_t *word = &planes[static_cast<size_t>(k) / 64];
+            for (int t = 0; t < spec.bits; ++t, word += words)
+                *word |= uint64_t{(value >> t) & 1u} << (k % 64);
+        }
         for (int t = 0; t < spec.bits; ++t) {
+            const uint64_t *plane = &planes[t * words];
             int toggles = 0;
-            for (int k = 0; k < rows; ++k) {
-                const auto bit = static_cast<uint8_t>(
-                    util::bitOfTc(vec[k], t, spec.bits));
-                if (bit != last[k])
-                    ++toggles;
-                last[k] = bit;
+            for (size_t w = 0; w < words; ++w) {
+                toggles += std::popcount(plane[w] ^ last[w]);
+                last[w] = plane[w];
             }
             rs.add(static_cast<double>(toggles) /
                    static_cast<double>(rows));

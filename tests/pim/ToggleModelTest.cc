@@ -1,8 +1,47 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pim/ToggleModel.hh"
+#include "util/BitOps.hh"
+#include "util/Stats.hh"
+#include "workload/ModelZoo.hh"
 
 using namespace aim::pim;
+
+namespace
+{
+
+/** estimateToggleStats as a plain per-row, per-cycle compare loop. */
+ToggleStats
+referenceToggleStats(const StreamSpec &spec, int rows, int vectors,
+                     uint64_t seed)
+{
+    InputStreamGen gen(spec, aim::util::Rng(seed));
+    aim::util::RunningStats rs;
+    std::vector<bool> last(rows, false);
+    for (int v = 0; v < vectors; ++v) {
+        const auto vec = gen.next(rows);
+        for (int t = 0; t < spec.bits; ++t) {
+            int toggles = 0;
+            for (int k = 0; k < rows; ++k) {
+                const bool bit = aim::util::bitOfTc(vec[k], t, spec.bits);
+                if (bit != last[k])
+                    ++toggles;
+                last[k] = bit;
+            }
+            rs.add(static_cast<double>(toggles) /
+                   static_cast<double>(rows));
+        }
+    }
+    ToggleStats stats;
+    stats.mean = rs.mean();
+    stats.stddev = rs.stddev();
+    stats.peak = rs.max();
+    return stats;
+}
+
+} // namespace
 
 TEST(ToggleModel, StatsWithinUnitRange)
 {
@@ -100,4 +139,29 @@ TEST(ToggleModel, HigherHrScalesSamples)
         hi_acc += hi.sample();
     }
     EXPECT_NEAR(hi_acc / lo_acc, 3.0, 0.05);
+}
+
+TEST(ToggleModel, BitSlicedCountMatchesReferenceLoop)
+{
+    const StreamSpec conv = aim::workload::resnet18().stream;
+    const StreamSpec transformer = aim::workload::gpt2().stream;
+    ASSERT_TRUE(conv.nonNegative);
+    ASSERT_FALSE(transformer.nonNegative);
+    for (const StreamSpec &zoo : {conv, transformer})
+        for (int bits : {2, 8, 16})
+            for (int rows : {1, 63, 64, 65, 128}) {
+                StreamSpec spec = zoo;
+                spec.bits = bits;
+                const ToggleStats got =
+                    estimateToggleStats(spec, rows, 60, 11);
+                const ToggleStats want =
+                    referenceToggleStats(spec, rows, 60, 11);
+                EXPECT_EQ(got.mean, want.mean)
+                    << "bits=" << bits << " rows=" << rows;
+                EXPECT_EQ(got.stddev, want.stddev)
+                    << "bits=" << bits << " rows=" << rows;
+                EXPECT_EQ(got.peak, want.peak)
+                    << "bits=" << bits << " rows=" << rows;
+                EXPECT_EQ(got.burstProb, want.burstProb);
+            }
 }
