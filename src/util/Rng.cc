@@ -1,6 +1,7 @@
 #include "util/Rng.hh"
 
 #include <cmath>
+#include <optional>
 
 namespace aim::util
 {
@@ -22,6 +23,81 @@ uint64_t
 rotl(uint64_t x, int k)
 {
     return (x << k) | (x >> (64 - k));
+}
+
+/** Layers of the normal ziggurat; a power of two (index = low bits). */
+constexpr int kZigLayers = 256;
+/** Right edge of the base layer, where the tail starts. */
+constexpr double kZigR = 3.6541528853610088;
+/** Area of every layer under the unnormalised density exp(-x^2/2). */
+constexpr double kZigV = 4.92867323399e-3;
+
+/**
+ * Marsaglia-Tsang ziggurat tables in Doornik's layout: layer i spans
+ * [0, x[i]] horizontally, and its rectangle [0, x[i + 1]] lies wholly
+ * under the curve.  x[0] = V / f(R) is the base layer, whose part
+ * beyond R stands for the tail; x[1] = R; x[kZigLayers] = 0.
+ */
+struct Ziggurat
+{
+    /** Layer edges, decreasing. */
+    double x[kZigLayers + 1];
+    /** f[i] = exp(-x[i]^2 / 2). */
+    double f[kZigLayers + 1];
+    /** x[i + 1] / x[i]: an abscissa |u| below it is inside the curve. */
+    double inner[kZigLayers];
+};
+
+/** The tables: built once, read-only (GCC folds them to constant data). */
+const Ziggurat &
+ziggurat()
+{
+    static const Ziggurat zig = [] {
+        Ziggurat z;
+        z.x[0] = kZigV / std::exp(-0.5 * kZigR * kZigR);
+        z.x[1] = kZigR;
+        for (int i = 1; i + 1 < kZigLayers; ++i)
+            z.x[i + 1] = std::sqrt(-2.0 * std::log(
+                             kZigV / z.x[i] +
+                             std::exp(-0.5 * z.x[i] * z.x[i])));
+        z.x[kZigLayers] = 0.0;
+        for (int i = 0; i <= kZigLayers; ++i)
+            z.f[i] = std::exp(-0.5 * z.x[i] * z.x[i]);
+        for (int i = 0; i < kZigLayers; ++i)
+            z.inner[i] = z.x[i + 1] / z.x[i];
+        return z;
+    }();
+    return zig;
+}
+
+/**
+ * A ziggurat attempt that missed its layer's rectangle (1.5% of
+ * attempts): the tail for the base layer, else a wedge test.  nullopt
+ * when the wedge rejects.  Kept out of Rng::normal so that the
+ * rectangle path stays a short leaf.
+ */
+[[gnu::cold]] std::optional<double>
+edgeAttempt(Rng &rng, int layer, double u)
+{
+    if (layer == 0) {
+        // Base layer beyond R: Marsaglia's exact tail sampler.
+        double a = 0.0;
+        double b = 0.0;
+        do {
+            a = -std::log(1.0 - rng.uniform()) / kZigR;
+            b = -std::log(1.0 - rng.uniform());
+        } while (b + b < a * a);
+        return u < 0.0 ? -(kZigR + a) : kZigR + a;
+    }
+    // Wedge between the rectangle and the layer's edge: accept when a
+    // uniform height falls under the curve.
+    const Ziggurat &zig = ziggurat();
+    const double x = u * zig.x[layer];
+    const double y =
+        zig.f[layer] + rng.uniform() * (zig.f[layer + 1] - zig.f[layer]);
+    if (y < std::exp(-0.5 * x * x))
+        return x;
+    return std::nullopt;
 }
 
 } // namespace
@@ -72,20 +148,18 @@ Rng::uniformInt(int64_t lo, int64_t hi)
 double
 Rng::normal()
 {
-    if (hasCachedNormal) {
-        hasCachedNormal = false;
-        return cachedNormal;
+    const Ziggurat &zig = ziggurat();
+    for (;;) {
+        // Disjoint bits of one draw: the low 8 pick the layer, the
+        // high 53 a uniform abscissa u in [-1, 1).
+        const uint64_t r = next();
+        const int i = static_cast<int>(r & (kZigLayers - 1));
+        const double u = static_cast<double>(r >> 11) * 0x1.0p-52 - 1.0;
+        if (std::fabs(u) < zig.inner[i])
+            return u * zig.x[i];
+        if (const auto x = edgeAttempt(*this, i, u))
+            return *x;
     }
-    double u1 = 0.0;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedNormal = r * std::sin(theta);
-    hasCachedNormal = true;
-    return r * std::cos(theta);
 }
 
 double

@@ -39,7 +39,15 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
-    /** Standard normal via Box-Muller (cached second variate). */
+    /**
+     * Standard normal via a 256-layer ziggurat (Marsaglia & Tsang,
+     * in Doornik's layout).  Each attempt takes the layer index and
+     * a signed abscissa from disjoint bits of one next(); 98.5% of
+     * attempts land inside a layer's rectangle and cost that one
+     * step, a table lookup and a compare.  Only the wedge and tail
+     * attempts (1.5%) draw uniform() and call exp or log.  No
+     * variate is cached, so a draw depends only on the state.
+     */
     double normal();
 
     /** Normal with explicit mean / standard deviation. */
@@ -69,8 +77,6 @@ class Rng
 
   private:
     uint64_t state[4];
-    double cachedNormal = 0.0;
-    bool hasCachedNormal = false;
 };
 
 } // namespace aim::util

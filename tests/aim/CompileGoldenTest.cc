@@ -89,26 +89,26 @@ expectGolden(const workload::ModelSpec &model, const Golden &g)
 TEST(CompileGolden, ResNet18)
 {
     expectGolden(workload::resnet18(),
-                 {0.35501836206702853, 0.363687193627451,
-                  0.49845621062136136, 0.50182443071705429,
-                  0.0003024565521162885, 69.871918571137513,
-                  0x2e7994b85908d152ULL});
+                 {0.35304843513850825, 0.36310852465986393,
+                  0.49962438891745464, 0.5038909912109375,
+                  0.00024801437273535659, 69.876238750800312,
+                  0xa6bc1da865fe3551ULL});
 }
 
 TEST(CompileGolden, MobileNetV2)
 {
     expectGolden(workload::mobilenetV2(),
-                 {0.35742838926165871, 0.37977430555555558,
-                  0.49785076449343929, 0.50315074763503209,
-                  0.00031220345806409207, 71.655426259980644,
-                  0x1edf8173b65cb4e8ULL});
+                 {0.35604679769142672, 0.38758680555555558,
+                  0.49940954766053836, 0.53168402777777779,
+                  0.00026701611544955244, 71.660871317961679,
+                  0x5e22b64b0343b5b7ULL});
 }
 
 TEST(CompileGolden, YOLOv5)
 {
     expectGolden(workload::yolov5s(),
-                 {0.35493707306664724, 0.3702850341796875,
-                  0.49836137482047305, 0.50147058823529411,
-                  0.00026606997204084394, 37.181991025000286,
-                  0xc2b0345835544266ULL});
+                 {0.35376652459321756, 0.3631439208984375,
+                  0.49932194833810273, 0.5038909912109375,
+                  0.00024208005652896455, 37.18332436557904,
+                  0x17c6fa8cee3c211fULL});
 }

@@ -79,7 +79,7 @@ TEST(IsaEngineGolden, SprintDefaultMatchesRuntimeBitForBit)
     EXPECT_DOUBLE_EQ(er.run.wallTimeNs, 12213.333333333116);
     EXPECT_DOUBLE_EQ(er.run.totalMacs, 480000000.0);
     EXPECT_EQ(er.run.usefulWindows, 7328L);
-    EXPECT_DOUBLE_EQ(er.run.meanRtog, 0.070437018487658598);
+    EXPECT_DOUBLE_EQ(er.run.meanRtog, 0.071855234706291626);
 }
 
 TEST(IsaEngineGolden, EveryBackendMatchesRuntimeBitForBit)

@@ -287,25 +287,25 @@ TEST(MappingEvaluator, ScoreGolden)
                             mapRandom(tasks, cfg, rng), hra};
 
     const ScoreBreakdown golden[] = {
-        {24997.544579197936, 6734.3176314742468, 2711963.9950403683,
-         114.88, 30.977543148263521},
-        {18044.925172016559, 5529.9269929108805, 2263139.8561227564,
-         123.84000000000002, 25.578319784149059},
-        {9536.2877708888063, 3762.1826895254621, 1534775.3040912675,
-         65.600000000000009, 27.196540426108413},
-        {2560702.2490161215, 7273.0630419921872, 2438780.011952166,
-         114.88, 25.793597742069515},
-        {2056921.3107953547, 5972.3211523437512, 1958988.2939145444,
-         123.84000000000002, 20.500700690151348},
-        {1400337.887858334, 4063.1573046874996, 1333670.7576896192,
-         65.600000000000009, 21.882338580246735},
+        {24851.772937337922, 6711.59327980324, 2702812.7154431036,
+         114.23999999999999, 30.977543148263521},
+        {18170.717632367359, 5552.6513445818864, 2272439.8678656118,
+         124.16000000000001, 25.578319784149059},
+        {11860.579479544907, 4317.9413293909138, 1746813.4869766636,
+         108.64000000000001, 26.96985057959041},
+        {2552061.3320734291, 7248.5207421874993, 2430550.5672374088,
+         114.23999999999999, 25.793597742069515},
+        {2065373.9677388566, 5996.8634521484373, 1967038.4433952458,
+         124.16000000000001, 20.500700690151348},
+        {1632162.9701682641, 4663.3766357421873, 1554456.7935613317,
+         108.64000000000001, 22.222192415216689},
     };
     const std::vector<int> golden_hra = {
-        0,  1,  13, 17, 46, 5,  38, 26, 7,  -1, -1, 14, 24,
-        43, 8,  16, 20, 35, 18, 19, 48, 23, 22, 40, -1, 4,
-        21, 42, 32, 28, 30, 11, 3,  33, 47, -1, 12, 37, 25,
-        10, 39, 9,  27, 15, 41, 45, 31, 29, -1, -1, 6,  34,
-        -1, 44, -1, -1, -1, -1, -1, -1, 36, -1, 2,  49};
+        0,  42, 39, 3,  14, -1, 4,  35, 47, 28, 10, 25, -1,
+        -1, -1, -1, 29, 7,  13, 41, 6,  24, 22, 48, -1, 5,
+        8,  19, 44, 36, 30, -1, 17, 33, 26, 23, -1, 21, 34,
+        15, 40, 32, 43, 31, 11, 45, 46, 16, 27, 9,  -1, -1,
+        37, -1, -1, 2,  -1, -1, 18, 49, 12, 38, 1,  20};
 
     int k = 0;
     bool stalled = false;

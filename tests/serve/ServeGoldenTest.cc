@@ -364,26 +364,26 @@ isaFleet(bool schedule)
 
 // Light enough load that the three policies pick the same order.
 const Golden kBursty = {
-    24, 2342.2854250817704, 34.635272982456172, 125.39838371929812,
-    28505682760, 0x9ea9352f0aa68f84ULL, 0, 113, 66, 0, 0,
+    24, 2342.2854250817704, 34.635272982456172, 125.99269950877192,
+    28505682760, 0xd11aa85f0b93769bULL, 0, 119, 99, 0, 0,
     0, 0,
-    {{9, 212.11929824561381, 270.13683200000003, 5, 5},
-     {8, 154.30175438596484, 270.13683200000003, 5, 5},
-     {7, 146.73684210526307, 242.37875200000002, 5, 4}}};
+    {{9, 214.21052631578928, 270.13683200000003, 5, 5},
+     {8, 155.5508771929822, 270.13683200000003, 5, 5},
+     {7, 149.72631578947352, 242.37875200000002, 5, 4}}};
 const Golden kPoissonFcfs = {
-    24, 1339.1784081533885, 37.762521486712423, 127.62372245238981,
-    28505682760, 0x1b3c6feae22e5f7dULL, 0, 113, 66, 0, 0,
+    24, 1339.1784081533885, 37.846732013028181, 128.50989789098628,
+    28505682760, 0xf155bac289596bbbULL, 0, 119, 99, 0, 0,
     0, 0,
-    {{7, 123.61403508771912, 363.568128, 5, 6},
-     {9, 186.17543859649115, 270.13683200000003, 5, 5},
-     {8, 203.36842105263148, 148.94745600000002, 5, 3}}};
+    {{7, 124.5543859649121, 363.568128, 5, 6},
+     {9, 187.49473684210506, 270.13683200000003, 5, 5},
+     {8, 207.43859649122786, 148.94745600000002, 5, 3}}};
 const Golden kDiurnalFcfs = {
-    24, 1562.9645624365687, 34.92618393944872, 180.55147909858201,
-    28505682760, 0x2f40e23d672e71e2ULL, 0, 113, 66, 0, 0,
+    24, 1562.9645624365687, 34.92618393944872, 181.37400541437145,
+    28505682760, 0x69ba96f1175167f4ULL, 0, 119, 99, 0, 0,
     0, 0,
-    {{10, 243.52982456140327, 270.13683200000003, 5, 5},
-     {8, 153.61403508771923, 270.13683200000003, 5, 5},
-     {6, 116.01403508771922, 242.37875200000002, 5, 4}}};
+    {{10, 246.77192982456111, 270.13683200000003, 5, 5},
+     {8, 156.08421052631562, 270.13683200000003, 5, 5},
+     {6, 116.6315789473683, 242.37875200000002, 5, 4}}};
 const Golden kResNet18Gang = {
     16, 2015.0596427676744, 132.32682273684213, 257.88986491518767,
     18589079840, 0xe7403b94532e6ce0ULL, 0, 0, 0, 9, 0,
@@ -393,13 +393,13 @@ const Golden kResNet18Gang = {
      {5, 179.53757192982431, 214.62067199999996, 5, 5},
      {6, 222.70266666666635, 218.89024000000001, 5, 6}}};
 const Golden kMixedSku = {
-    16, 4922.0232668978051, 1361.3977064795308, 3023.9537106235302,
-    453269599640, 0x5ef49f54cb16e355ULL, 0, 470, 953, 0, 0,
+    16, 4920.0934423364015, 1360.8573556023375, 3022.0407281673897,
+    453269599640, 0x64224db55a305b73ULL, 0, 459, 926, 0, 0,
     0, 0,
-    {{6, 3368.2994152046717, 782.73894399999995, 10, 2},
-     {5, 2699.4198830409296, 782.73894399999995, 10, 2},
-     {3, 210.35087719298227, 93.431296000000003, 5, 1},
-     {2, 142.52631578947359, 93.431296000000003, 5, 1}}};
+    {{6, 3365.2187134502851, 782.73894399999995, 10, 2},
+     {5, 2700.0374269005788, 782.73894399999995, 10, 2},
+     {3, 210.13333333333316, 93.431296000000003, 5, 1},
+     {2, 141.39649122807006, 93.431296000000003, 5, 1}}};
 const Golden kMixedSkuGang = {
     16, 1925.8979147676744, 43.165094736842093, 127.47997554048226,
     18510436840, 0xbdb7abbd628c1eaaULL, 0, 0, 0, 9, 0,
@@ -409,69 +409,69 @@ const Golden kMixedSkuGang = {
      {3, 54.736842105263179, 27.75808, 5, 1},
      {2, 36.491228070175453, 27.75808, 5, 1}}};
 const Golden kIsaOverlap = {
-    16, 1262.8327443072474, 108.87544840683378, 214.54705596218503,
-    18494743100, 0xe5aaff144e58f9caULL, 0, 81, 79, 0, 0,
+    16, 1258.8327443072476, 107.32457121385141, 211.17231912007981,
+    18494743100, 0x4ba4e91fcc16c16dULL, 0, 75, 63, 0, 0,
     0.21052631578947367, 0,
-    {{16, 341.10877192982406, 484.54697768421056, 5, 8}}};
+    {{16, 337.62807017543832, 484.54697768421056, 5, 8}}};
 const Golden kIsaSchedule = {
     16, 3200.1471517192995, 1020.8697459398768, 2057.7221243712652,
-    18494743100, 0x4fe94dc48055968dULL, 0, 81, 79, 0, 0,
-    0.21052631578947367, 6664.2779171929797,
+    18494743100, 0x4fe94dc48055968dULL, 0, 75, 63, 0, 0,
+    0.21052631578947367, 6660.7972154385952,
     {{16, 2710.600174035088, 484.54697768421056, 5, 8}}};
 
 // --- Overload records ---------------------------------------------
 
 const OverloadGolden kOverloadFcfs = {
     600, 600, 600, 0, 0, 0, 0, 0,
-    30626.557155929804, 9444.6483596319631, 19897.704337396186,
-    0x4b88a4dbe2891a5eULL, 0x14650fb0739d0383ULL,
-    {{183, 21932.70877192984, 8688.8483839999863, 5, 137},
-     {216, 21741.550877192982, 8498.7141119999833, 5, 135},
-     {201, 21275.88070175438, 9050.7806719999862, 5, 143}}};
+    30551.811963650576, 9423.4636971758337, 19826.072522732356,
+    0x4d05cd379c7e2c53ULL, 0x14650fb0739d0383ULL,
+    {{191, 21384.940350877219, 8909.8813439999867, 5, 141},
+     {208, 20971.361403508814, 9209.8851839999879, 5, 144},
+     {201, 22700.336842105287, 7810.5246719999841, 5, 126}}};
 const OverloadGolden kOverloadSjf = {
     600, 600, 600, 0, 0, 0, 0, 0,
-    26643.862792570264, 270.3670618461374, 15951.872671739247,
-    0x0fa9b780a0206af2ULL, 0x14650fb0739d0383ULL,
-    {{198, 21589.2701754386, 4826.3603199999998, 5, 79},
-     {207, 21652.821052631589, 4824.7244800000008, 5, 79},
-     {195, 21708.04912280702, 4660.8435200000013, 5, 77}}};
+    26709.014281124255, 284.94302366909005, 16074.271744500087,
+    0x5459f88b62be589aULL, 0x14650fb0739d0383ULL,
+    {{208, 21513.642105263167, 5067.1032319999995, 5, 83},
+     {187, 21424.743859649123, 4847.7061120000008, 5, 79},
+     {205, 22118.252631578958, 4549.8112000000028, 5, 73}}};
 const OverloadGolden kOverloadIrAware = {
     600, 600, 600, 0, 0, 0, 0, 0,
-    21958.972512703138, 13253.089513282666, 18562.939001233466,
-    0xdea529bfb4d0a604ULL, 0x14650fb0739d0383ULL,
-    {{138, 21775.880701754359, 165.51679999999999, 5, 2},
-     {317, 21421.75438596524, 342.22233600000004, 5, 6},
-     {145, 21752.505263157844, 165.51679999999999, 5, 2}}};
+    22004.790056562899, 13084.897973562074, 18611.97112780844,
+    0x326a1bb758d1cf5dULL, 0x14650fb0739d0383ULL,
+    {{213, 21790.350877193203, 193.27488, 5, 3},
+     {241, 21467.964912280921, 342.22233600000004, 5, 6},
+     {146, 21798.322807017605, 165.51679999999999, 5, 2}}};
 const OverloadGolden kOverloadBatchFcfs = {
     600, 600, 600, 0, 443, 0, 0, 0,
-    24525.550923228086, 6197.784924867452, 13869.927701744269,
-    0xc2fd3912256efa36ULL, 0x14650fb0739d0383ULL,
-    {{186, 22094.996491228078, 2425.5544320000008, 5, 39},
-     {220, 21207.192982456134, 2982.397440000002, 5, 48},
-     {194, 21647.950877192987, 2546.7438080000006, 5, 41}}};
+    24848.810041973815, 6486.2248142734297, 14319.796296360191,
+    0x6ab8560b1a8e4493ULL, 0x14650fb0739d0383ULL,
+    {{166, 22270.456140350911, 2535.5550720000006, 5, 39},
+     {232, 21062.645614035129, 3619.847168000003, 5, 56},
+     {202, 21723.536842105288, 2812.1041920000011, 5, 45}}};
 const OverloadGolden kOverloadBatchIrAware = {
     600, 600, 600, 0, 442, 0, 0, 0,
-    22040.432589473647, 13310.23078905711, 18749.339729219068,
-    0x34ab9362e1bef7baULL, 0x14650fb0739d0383ULL,
-    {{141, 21869.915789473649, 165.51679999999999, 5, 2},
-     {148, 21500.456140350838, 286.70617600000003, 5, 4},
-     {311, 21579.76842105297, 386.54975999999999, 5, 6}}};
+    22083.218554386021, 13352.606227653643, 18795.774816938374,
+    0xc87879fbc40b9419ULL, 0x14650fb0739d0383ULL,
+    {{141, 21912.701754386024, 165.51679999999999, 5, 2},
+     {148, 21535.150877193031, 286.70617600000003, 5, 4},
+     {311, 21608.785964912684, 386.54975999999999, 5, 6}}};
 const OverloadGolden kOverloadAutoscaled = {
-    389, 600, 389, 211, 0, 4, 1, 0,
-    20169.475131717893, 193.89683701103149, 3107.7320520542717,
-    0xd964dfa7d0ff21e6ULL, 0x6389e2d6a82db797ULL,
-    {{112, 11679.059649122803, 4849.4730239999999, 5, 78},
-     {103, 11392.884210526308, 4725.6161280000006, 5, 72},
-     {104, 11206.301754385959, 4268.6167040000028, 5, 65},
-     {70, 10113.656140350877, 3238.2049280000019, 5, 50}}};
+    382, 600, 382, 218, 0, 4, 1, 0,
+    20171.774297522337, 240.33987556065858, 3151.8442406581294,
+    0x19137cf8bb562bd6ULL, 0x010af84ab127fc3dULL,
+    {{114, 11476.807017543857, 5161.2697599999983, 5, 79},
+     {96, 11826.898245614038, 4358.303232000002, 5, 69},
+     {87, 11837.71228070176, 3567.6026880000027, 5, 54},
+     {85, 9403.0456140350852, 4045.9479040000033, 5, 61}}};
 const OverloadGolden kOverloadMixedSku = {
     600, 600, 600, 0, 0, 0, 0, 0,
-    102150.25941183594, 1967.5549659435342, 90337.459746887645,
-    0xe918425d0a8004aeULL, 0x14650fb0739d0383ULL,
-    {{153, 101357.52046783593, 782.73894399999995, 10, 2},
-     {152, 100692.38830409326, 782.73894399999995, 10, 2},
-     {148, 10483.108771929818, 93.431296000000003, 5, 1},
-     {147, 10420.456140350871, 93.431296000000003, 5, 1}}};
+    102182.23134166074, 1967.5163694523058, 90369.898904782618,
+    0xbc28b7d22f7fa2afULL, 0x14650fb0739d0383ULL,
+    {{153, 101389.49239766074, 782.73894399999995, 10, 2},
+     {152, 100718.82339181268, 782.73894399999995, 10, 2},
+     {148, 10403.817543859645, 93.431296000000003, 5, 1},
+     {147, 10316.042105263154, 93.431296000000003, 5, 1}}};
 
 } // namespace
 

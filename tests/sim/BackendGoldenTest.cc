@@ -63,9 +63,9 @@ TEST(BackendGolden, SprintDefault)
     expectGolden(
         execute({convRound(0.30, 16, 30'000'000)}, rcfg),
         {12213.333333333116, 480000000, 307.19999999998214,
-         3.3167842367788589, 58.396147131705078, 26.182861285538937,
+         3.3630540204326791, 58.389237339345655, 26.522479207785736,
          0L, 0L, 7328L, 0L, 20.272925764192141,
-         0.070437018487658598});
+         0.071855234706291626});
 }
 
 TEST(BackendGolden, DvfsBaseline)
@@ -75,9 +75,9 @@ TEST(BackendGolden, DvfsBaseline)
     rcfg.mapper = mapping::MapperKind::Sequential;
     expectGolden(
         execute({convRound(0.30, 16, 30'000'000)}, rcfg),
-        {14656, 480000000, 256, 2.8056535306490136,
-         50.642575927465444, 23.488049603442477, 0L, 0L, 7328L, 0L,
-         100, 0.070437018487658598});
+        {14656, 480000000, 256, 2.8442116836940001,
+         50.653821141617691, 23.772071032081257, 0L, 0L, 7328L, 0L,
+         100, 0.071855234706291626});
 }
 
 TEST(BackendGolden, LowPowerBeta20Seed77)
@@ -88,9 +88,9 @@ TEST(BackendGolden, LowPowerBeta20Seed77)
     rcfg.seed = 77;
     expectGolden(
         execute({convRound(0.45, 16, 30'000'000)}, rcfg),
-        {16720, 480000000, 228.91616839536303, 3.0457887774674051,
-         65.060430900384873, 26.715370406176724, 149L, 867L, 7328L,
-         301L, 29.313397129186601, 0.10676443318521227});
+        {16552, 480000000, 228.83239814588924, 3.0389429660687433,
+         64.219333872572037, 26.654900677688175, 149L, 870L, 7328L,
+         298L, 29.344490091831801, 0.10668485120366619});
 }
 
 TEST(BackendGolden, TwoRoundsMerged)
@@ -100,10 +100,10 @@ TEST(BackendGolden, TwoRoundsMerged)
         execute({convRound(0.30, 16, 30'000'000),
                  convRound(0.50, 12, 20'000'000)},
                 rcfg),
-        {21156.491228069892, 720000000, 296.350665815713,
-         3.9696048349728463, 88.00425447802921, 30.412764397006171,
-         38L, 224L, 10991L, 77L, 27.12596199761672,
-         0.090158521067979877});
+        {21041.403508771731, 720000000, 297.38925130380795,
+         4.0303565970389332, 86.983305811895178, 30.681624048423377,
+         33L, 204L, 10991L, 68L, 26.16610685044089,
+         0.091584245766897068});
 }
 
 TEST(BackendGolden, InputDeterminedTasks)
@@ -111,10 +111,10 @@ TEST(BackendGolden, InputDeterminedTasks)
     RunConfig rcfg;
     expectGolden(
         execute({convRound(0.40, 16, 30'000'000, true)}, rcfg),
-        {13610.097465886767, 480000000, 283.6309062002984,
-         3.8924171756335761, 73.903289540184332, 30.508552985472598,
-         34L, 220L, 7328L, 75L, 43.413865546218489,
-         0.093945760479610924});
+        {13439.430799220088, 480000000, 282.87983062059789,
+         3.9816435680179416, 73.274407484361248, 30.875913003245937,
+         36L, 229L, 7328L, 78L, 44.083113456464382,
+         0.095742171797143824});
 }
 
 TEST(BackendGolden, SeedOverride)
@@ -122,10 +122,10 @@ TEST(BackendGolden, SeedOverride)
     RunConfig rcfg;
     expectGolden(
         execute({convRound(0.35, 16, 30'000'000)}, rcfg, 1234),
-        {12270.877192982252, 480000000, 306.15244214536676,
-         3.7749043160593923, 67.945572539167586, 28.97457102666721,
-         3L, 18L, 7328L, 6L, 20.988846572361261,
-         0.082900911828252002});
+        {12270.877192982252, 480000000, 305.80439608268222,
+         3.7173111027311472, 66.770688158286561, 28.769500173137114,
+         4L, 24L, 7328L, 8L, 21.08405875952122,
+         0.081663730517896826});
 }
 
 TEST(BackendGolden, TransientResNet18HeadlineDroop)
@@ -144,10 +144,10 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
     const auto compiled = pipe.compile(workload::resnet18(), o);
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
-                 {1788.0701754385955, 91202177, 249.49070605821487,
-                  4.6166302149688372, 191.87156508152921,
-                  35.715583963769717, 163L, 73L, 735L, 8L,
-                  41.258126578390552, 0.11054607445308388});
+                 {1795.0877192982448, 91202177, 249.08864225870352,
+                  4.6491027888386265, 191.9919733097648,
+                  35.595365570314684, 159L, 72L, 735L, 9L,
+                  40.530686709640676, 0.11077234394550951});
 }
 
 TEST(BackendGolden, MeshResNet18HeadlineDroop)
@@ -164,9 +164,9 @@ TEST(BackendGolden, MeshResNet18HeadlineDroop)
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
                  {1570.5263157894728, 91202177, 292.286029910526,
-                  4.6231420881600984, 71.773773254567175,
-                  33.93647096578902, 0L, 3L, 735L, 16L,
-                  32.445725026226825, 0.11062199821270943});
+                  4.6525177411380758, 70.038820063995743,
+                  33.774838720562222, 1L, 3L, 735L, 18L,
+                  32.785476344853706, 0.11055945690936674});
 }
 
 TEST(BackendGolden, ExplicitAnalyticMatchesDefault)
