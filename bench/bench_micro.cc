@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot simulator kernels:
- * the bit-serial MAC + Rtog engine, the HR kernel, the LHR gradient,
- * the PDN mesh factor, solve and transient step, the annealing
+ * the bit-serial MAC + Rtog engine, the HR kernel, the normal
+ * sampler, toggle-statistics estimation, Equation 5's interpolated
+ * HR, the PDN mesh factor, solve and transient step, the annealing
  * mapper, and the ISA front end (lowering, scoreboard issue walk,
  * list scheduling).
  */
@@ -15,11 +16,13 @@
 #include "isa/Scoreboard.hh"
 #include "mapping/Mappers.hh"
 #include "pim/Macro.hh"
+#include "pim/ToggleModel.hh"
 #include "power/PdnMesh.hh"
 #include "quant/Hamming.hh"
 #include "quant/Lhr.hh"
 #include "sim/Runtime.hh"
 #include "util/Rng.hh"
+#include "workload/ModelZoo.hh"
 
 using namespace aim;
 
@@ -66,21 +69,55 @@ BM_HammingRate(benchmark::State &state)
 BENCHMARK(BM_HammingRate)->Arg(1 << 12)->Arg(1 << 16);
 
 void
-BM_LhrGradient(benchmark::State &state)
+BM_RngNormal(benchmark::State &state)
 {
+    // One standard normal draw: the Gaussian noise behind QAT, the
+    // Rtog samples, the synthetic activations and the droop monitors.
+    util::Rng rng(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.normal());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNormal);
+
+void
+BM_EstimateToggleStats(benchmark::State &state)
+{
+    // Toggle statistics of a zoo stream at the runtime's default
+    // estimate (128 rows x 200 vectors): stream generation plus
+    // per-cycle toggle counting.  Arg 0 = conv, 1 = transformer.
+    const bool conv = state.range(0) == 0;
+    const pim::StreamSpec spec =
+        conv ? workload::resnet18().stream : workload::gpt2().stream;
+    for (auto _ : state) {
+        const auto stats = pim::estimateToggleStats(spec, 128);
+        benchmark::DoNotOptimize(stats.mean);
+    }
+    state.SetLabel(conv ? "conv" : "transformer");
+}
+BENCHMARK(BM_EstimateToggleStats)->Arg(0)->Arg(1);
+
+void
+BM_InterpolatedHr(benchmark::State &state)
+{
+    // Equation 5 (value and slope) over a layer's scaled weights, the
+    // per-weight, per-epoch work of LHR QAT; Arg is the bit width.
+    const int q = static_cast<int>(state.range(0));
     util::Rng rng(3);
     std::vector<double> u(4096);
     for (auto &x : u)
-        x = rng.normal(0.0, 40.0);
+        x = rng.normal(0.0, 0.3 * static_cast<double>(util::intMax(q)));
     for (auto _ : state) {
         double acc = 0.0;
-        for (double x : u)
-            acc += quant::interpolatedHr(x, 8).slope;
+        for (double x : u) {
+            const quant::HrInterp h = quant::interpolatedHr(x, q);
+            acc += h.value + h.slope;
+        }
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(state.iterations() * u.size());
 }
-BENCHMARK(BM_LhrGradient);
+BENCHMARK(BM_InterpolatedHr)->Arg(4)->Arg(8)->Arg(16);
 
 void
 BM_PdnMeshSolve(benchmark::State &state)
