@@ -110,9 +110,8 @@ main()
     lp.print();
     std::printf("Shape (paper): HR-aware mapping avoids pinning whole "
                 "groups to the worst task's level.  Measured: random "
-                "mapping is consistently worst; HR-aware ties the "
-                "aligned mappings (our runtime's dynamic booster "
-                "recovers part of a bad static mapping -- see "
-                "EXPERIMENTS.md note 5).\n");
+                "mapping draws the most power in every mix; HR-aware "
+                "ties the aligned mappings (our runtime's dynamic "
+                "booster recovers part of a bad static mapping).\n");
     return 0;
 }
