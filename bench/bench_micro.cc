@@ -3,14 +3,16 @@
  * Google-benchmark microbenchmarks of the hot simulator kernels:
  * the bit-serial MAC + Rtog engine, the HR kernel, the normal
  * sampler, toggle-statistics estimation, Equation 5's interpolated
- * HR, the PDN mesh factor, solve and transient step, the annealing
- * mapper, and the ISA front end (lowering, scoreboard issue walk,
- * list scheduling).
+ * HR, the PDN mesh factor, solve and transient step, the window loop
+ * serially and round-parallel on a pool, the annealing mapper, and
+ * the ISA front end (lowering, scoreboard issue walk, list
+ * scheduling).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "BenchCommon.hh"
+#include "exec/ExecPool.hh"
 #include "isa/Lower.hh"
 #include "isa/Schedule.hh"
 #include "isa/Scoreboard.hh"
@@ -186,6 +188,33 @@ BM_RuntimeWindowLoop(benchmark::State &state)
                                          : "transient");
 }
 BENCHMARK(BM_RuntimeWindowLoop)->Arg(0)->Arg(1)->Arg(2);
+
+void
+BM_RuntimeRunPooled(benchmark::State &state)
+{
+    // Round-parallel execution: Runtime::run's independent rounds on
+    // a pool of Arg threads (1 = the serial walk), Transient backend.
+    pim::PimConfig cfg;
+    const auto cal = power::defaultCalibration();
+    sim::RunConfig rcfg;
+    rcfg.mapper = mapping::MapperKind::Sequential;
+    rcfg.irBackend = power::IrBackendKind::Transient;
+    const sim::Runtime rt(cfg, cal, rcfg);
+    const std::vector<sim::Round> rounds(
+        16, aim::bench::syntheticRound(0.30, 16, 2'000'000));
+    pim::StreamSpec stream;
+    stream.density = 0.55;
+    stream.nonNegative = true;
+    exec::ExecPool pool(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        const auto rep =
+            rt.run(rounds, stream, rcfg.seed, nullptr, &pool);
+        benchmark::DoNotOptimize(rep.wallTimeNs);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(rounds.size()));
+}
+BENCHMARK(BM_RuntimeRunPooled)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void
 BM_PdnMeshTransientStep(benchmark::State &state)

@@ -11,6 +11,14 @@
 namespace aim::exec
 {
 
+namespace
+{
+
+/** The pool the calling thread works for (nullptr off-pool). */
+thread_local const ExecPool *workerOf = nullptr;
+
+} // namespace
+
 ExecPool::ExecPool(int threads, int queue_bound)
     : nThreads(resolveThreads(threads)),
       bound(static_cast<size_t>(queue_bound))
@@ -38,9 +46,16 @@ ExecPool::~ExecPool()
         w.join();
 }
 
+bool
+ExecPool::onWorker() const
+{
+    return workerOf == this;
+}
+
 void
 ExecPool::workerLoop()
 {
+    workerOf = this;
     for (;;) {
         std::function<void()> task;
         {
@@ -96,6 +111,8 @@ ExecPool::post(std::function<void()> task)
 void
 ExecPool::drain()
 {
+    aim_assert(!onWorker(), "drain() from inside a task of the same "
+                            "pool waits on itself");
     std::exception_ptr err;
     {
         std::unique_lock<std::mutex> lock(mu);
@@ -113,7 +130,7 @@ ExecPool::parallelFor(long n, const std::function<void(long)> &body)
     aim_assert(n >= 0, "parallelFor needs n >= 0, got ", n);
     if (n == 0)
         return;
-    if (workers.empty()) {
+    if (workers.empty() || onWorker()) {
         for (long i = 0; i < n; ++i)
             body(i);
         return;

@@ -25,13 +25,20 @@
  * thread, which is the reference serial schedule that N-thread runs
  * are tested against (tests/serve/FleetParallelTest).
  *
- * Never call parallelFor() or drain() from inside a task of the same
- * pool: drain() waits until the pool's in-flight count reaches zero,
- * and that count includes the calling task, so the call never
- * returns.  Library code that fans out internally therefore owns its
- * pool -- quant::QatTrainer::run trains a network's layers on a pool
- * it creates per call, and may itself run inside another pool's
- * workers (bench_fig18_beta_sweep compiles inside SweepDriver).
+ * A parallelFor() issued from one of the pool's own workers runs its
+ * items inline on that worker, in index order, exactly like the
+ * 1-thread pool: the pool is already busy, and waiting on it from
+ * inside would never return.  So library code may take a caller's
+ * pool and fan out on it whether or not the call itself runs inside
+ * that pool (serve::RequestExecutor runs a request's rounds on the
+ * serving loop's pool at dispatch and serially inside its
+ * execute-ahead workers).  drain() from inside a task of the same
+ * pool stays forbidden -- it waits for an in-flight count that
+ * includes the calling task -- and is fatal.  Pools nest across
+ * instances as before: quant::QatTrainer::run trains a network's
+ * layers on a pool it creates per call, and may itself run inside
+ * another pool's workers (bench_fig18_beta_sweep compiles inside
+ * SweepDriver).
  */
 
 #ifndef AIM_EXEC_EXECPOOL_HH
@@ -94,6 +101,7 @@ class ExecPool
     /**
      * Wait until every post()ed task has finished.  Rethrows the
      * first exception any task raised since the last drain().
+     * Fatal when called from inside a task of this pool.
      */
     void drain();
 
@@ -104,7 +112,8 @@ class ExecPool
      * dynamic -- callers must keep body(i) a pure function of i (plus
      * read-only shared state) for determinism.  The first exception
      * thrown by any item is rethrown here after remaining items are
-     * cancelled.
+     * cancelled.  Called from one of this pool's workers, the items
+     * run inline on that worker.
      */
     void parallelFor(long n, const std::function<void(long)> &body);
 
@@ -135,6 +144,9 @@ class ExecPool
 
   private:
     void workerLoop();
+
+    /** Is the calling thread one of this pool's workers? */
+    bool onWorker() const;
 
     int nThreads = 1;
     size_t bound = 64;

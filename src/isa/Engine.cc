@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "exec/ExecPool.hh"
 #include "isa/Schedule.hh"
 #include "isa/Scoreboard.hh"
 #include "sim/ChipState.hh"
@@ -52,7 +53,8 @@ Engine::Engine(const pim::PimConfig &cfg,
 EngineReport
 Engine::run(const Program &program, const pim::StreamSpec &stream,
             uint64_t seed, std::unique_ptr<power::IrState> *carry,
-            TraceSink *trace, const Schedule *schedule) const
+            TraceSink *trace, const Schedule *schedule,
+            exec::ExecPool *pool) const
 {
     aim_assert(program.roundSpan.size() == program.rounds.size(),
                "program has ", program.roundSpan.size(),
@@ -84,12 +86,29 @@ Engine::run(const Program &program, const pim::StreamSpec &stream,
     // the physics below sees byte-identical inputs.
     const auto toggles =
         pim::estimateToggleStats(stream, env.cfg.rows, 200, seed);
+    std::vector<BlockOut> blocks(program.rounds.size());
+    const auto block = [&](long r) {
+        const auto i = static_cast<size_t>(r);
+        runBlock(program, i, toggles,
+                 seed + static_cast<uint64_t>(r) + 1, carry, sink,
+                 blocks[i], dur_ns);
+    };
+    const auto n = static_cast<long>(program.rounds.size());
+    if (pool && !carry && !sink)
+        pool->parallelFor(n, block);
+    else
+        for (long r = 0; r < n; ++r)
+            block(r);
     std::vector<sim::RunReport> parts;
-    parts.reserve(program.rounds.size());
-    std::vector<RoundTail> tails(program.rounds.size());
-    for (size_t r = 0; r < program.rounds.size(); ++r)
-        parts.push_back(runBlock(program, r, toggles, ++seed, carry,
-                                 sink, er, tails[r], dur_ns));
+    parts.reserve(blocks.size());
+    for (const BlockOut &b : blocks) {
+        parts.push_back(b.run);
+        er.decoded += b.decoded;
+        er.issued += b.issued;
+        er.completed += b.completed;
+        for (size_t op = 0; op < er.issuedByOp.size(); ++op)
+            er.issuedByOp[op] += b.issuedByOp[op];
+    }
     er.run = sim::mergeReports(parts);
 
     // The cost-modelled timing replay: the strict in-order makespan
@@ -132,10 +151,10 @@ Engine::run(const Program &program, const pim::StreamSpec &stream,
     for (size_t r = program.rounds.size(); r-- > 0;) {
         if (program.rounds[r].tasks.empty())
             continue;
-        touched.insert(tails[r].activeMacros.begin(),
-                       tails[r].activeMacros.end());
+        touched.insert(blocks[r].activeMacros.begin(),
+                       blocks[r].activeMacros.end());
         if (!last_seen) {
-            er.tailIdleNs += tails[r].setImbalanceNs;
+            er.tailIdleNs += blocks[r].setImbalanceNs;
             last_seen = true;
         }
         const double idle_frac =
@@ -147,17 +166,17 @@ Engine::run(const Program &program, const pim::StreamSpec &stream,
     return er;
 }
 
-sim::RunReport
+void
 Engine::runBlock(const Program &program, size_t round,
                  const pim::ToggleStats &toggles, uint64_t round_seed,
                  std::unique_ptr<power::IrState> *carry,
-                 TraceSink *trace, EngineReport &er,
-                 RoundTail &tail, std::vector<double> &durNs) const
+                 TraceSink *trace, BlockOut &out,
+                 std::vector<double> &durNs) const
 {
     const auto &code = program.code;
     const Program::Span span = program.roundSpan[round];
     const sim::Round &rnd = program.rounds[round];
-    er.decoded += static_cast<long>(span.end - span.begin);
+    out.decoded = static_cast<long>(span.end - span.begin);
 
     Scoreboard sb(code, span.begin, span.end);
     long window = 0;
@@ -178,17 +197,17 @@ Engine::runBlock(const Program &program, size_t round,
     };
     const auto issueAt = [&](size_t i, double t_ns) {
         sb.issue(i);
-        ++er.issued;
-        ++er.issuedByOp[static_cast<size_t>(code[i].op)];
+        ++out.issued;
+        ++out.issuedByOp[static_cast<size_t>(code[i].op)];
         emit(i, t_ns, "issue");
     };
     const auto completeAt = [&](size_t i, double t_ns) {
         sb.complete(i);
-        ++er.completed;
+        ++out.completed;
         emit(i, t_ns, "complete");
     };
 
-    sim::RunReport rep;
+    sim::RunReport &rep = out.run;
     if (rnd.tasks.empty()) {
         // The block is a single NOP; like Runtime::runRound's early
         // return, an empty round consumes no time, no RNG and does
@@ -199,7 +218,7 @@ Engine::runBlock(const Program &program, size_t round,
                    " did not lower to a single NOP");
         issueAt(span.begin, 0.0);
         completeAt(span.begin, 0.0);
-        return rep;
+        return;
     }
 
     util::Rng rng(round_seed);
@@ -310,8 +329,8 @@ Engine::runBlock(const Program &program, size_t round,
     // macro-weighted wait of its early-retired Sets on the slowest
     // (a Set's macros idle from its last pass to the BARRIER).
     for (const auto &group : state.activeMacroIds())
-        tail.activeMacros.insert(tail.activeMacros.end(),
-                                 group.begin(), group.end());
+        out.activeMacros.insert(out.activeMacros.end(), group.begin(),
+                                group.end());
     const double chip_macros = static_cast<double>(
         env.cfg.groups * env.cfg.macrosPerGroup);
     const double round_wall = maxWallNs(state);
@@ -319,15 +338,14 @@ Engine::runBlock(const Program &program, size_t round,
         if (code[i].op != Opcode::MacWindow)
             continue;
         const sim::SetState &ss = state.sets.at(code[i].set);
-        tail.setImbalanceNs += (round_wall - ss.wallNs) *
-                               static_cast<double>(code[i].macros) /
-                               chip_macros;
+        out.setImbalanceNs += (round_wall - ss.wallNs) *
+                              static_cast<double>(code[i].macros) /
+                              chip_macros;
     }
 
     finalizeRoundReport(state, stats, env, rep);
     if (carry)
         *carry = droop->exportState();
-    return rep;
 }
 
 } // namespace aim::isa

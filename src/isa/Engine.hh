@@ -36,6 +36,14 @@
  * -- a software-pipelined one, with the saved difference reported.
  * The replay never feeds back into the physics, which is what keeps
  * droop/accuracy statistics bit-identical under scheduling.
+ *
+ * Like Runtime::run, the engine can execute a program's rounds on an
+ * exec::ExecPool when nothing chains them -- no electrical-state
+ * carry and no trace sink (whose event order is the serial walk's).
+ * Each round fills its own slot (report, issue counters, tail
+ * inputs) and writes its MAC durations at its own instruction
+ * indices; the slots merge in round order and the counters sum, so
+ * the EngineReport is bit-identical to the serial run.
  */
 
 #ifndef AIM_ISA_ENGINE_HH
@@ -47,6 +55,11 @@
 #include "isa/Isa.hh"
 #include "pim/ToggleModel.hh"
 #include "sim/Runtime.hh"
+
+namespace aim::exec
+{
+class ExecPool;
+} // namespace aim::exec
 
 namespace aim::isa
 {
@@ -115,37 +128,45 @@ class Engine
      *        (isa::scheduleProgram of the same program): re-times
      *        the trace slots and the scheduledMakespanNs replay;
      *        the physics walk (and run) are unaffected
+     * @param pool optional host pool the rounds run on concurrently;
+     *        ignored when @p carry or @p trace is given, and the
+     *        report is bit-identical either way
      */
     EngineReport
     run(const Program &program, const pim::StreamSpec &stream,
         uint64_t seed,
         std::unique_ptr<power::IrState> *carry = nullptr,
         TraceSink *trace = nullptr,
-        const Schedule *schedule = nullptr) const;
+        const Schedule *schedule = nullptr,
+        exec::ExecPool *pool = nullptr) const;
 
     /** The shared execution environment. */
     const sim::RuntimeEnv &environment() const { return env; }
 
   private:
-    /** Per-round inputs of the tail-idle accounting. */
-    struct RoundTail
+    /** What one round's block leaves for the program merge. */
+    struct BlockOut
     {
-        /** Macro ids the round's mapping occupies. */
+        sim::RunReport run;
+        /** The round's share of the EngineReport counters. */
+        long decoded = 0;
+        long issued = 0;
+        long completed = 0;
+        std::array<long, kOpcodeCount> issuedByOp{};
+        /** Tail-idle inputs: macro ids the round's mapping occupies
+         * and the macro-weighted Set wait on its slowest Set [ns]. */
         std::vector<int> activeMacros;
-        /** Macro-weighted Set wait on the round's slowest Set
-         * [ns]. */
         double setImbalanceNs = 0.0;
     };
 
-    /** Execute one round's instruction block; records the measured
-     * MAC durations into @p durNs for the timing replay. */
-    sim::RunReport runBlock(const Program &program, size_t round,
-                            const pim::ToggleStats &toggles,
-                            uint64_t roundSeed,
-                            std::unique_ptr<power::IrState> *carry,
-                            TraceSink *trace, EngineReport &er,
-                            RoundTail &tail,
-                            std::vector<double> &durNs) const;
+    /** Execute one round's instruction block into @p out; records
+     * the measured MAC durations at the block's own indices of
+     * @p durNs for the timing replay. */
+    void runBlock(const Program &program, size_t round,
+                  const pim::ToggleStats &toggles, uint64_t roundSeed,
+                  std::unique_ptr<power::IrState> *carry,
+                  TraceSink *trace, BlockOut &out,
+                  std::vector<double> &durNs) const;
 
     sim::RuntimeEnv env;
 };

@@ -235,7 +235,8 @@ RequestExecutor::~RequestExecutor() = default;
 
 ExecResult
 RequestExecutor::run(const CompiledModel &compiled, uint64_t seed,
-                     std::unique_ptr<power::IrState> *carry) const
+                     std::unique_ptr<power::IrState> *carry,
+                     exec::ExecPool *pool) const
 {
     ExecResult out;
     if (engine) {
@@ -244,7 +245,7 @@ RequestExecutor::run(const CompiledModel &compiled, uint64_t seed,
                    " but its artifact carries no lowered program");
         const isa::EngineReport er = engine->run(
             *compiled.program, compiled.stream, seed, carry,
-            nullptr, compiled.schedule.get());
+            nullptr, compiled.schedule.get(), pool);
         out.run = er.run;
         out.overlapUs = er.tailIdleNs / 1000.0 / workScale;
         // Scheduled artifacts are billed their cost-modelled
@@ -256,7 +257,7 @@ RequestExecutor::run(const CompiledModel &compiled, uint64_t seed,
             er.scheduleSavedNs / 1000.0 / workScale;
     } else {
         out.run = runtime->run(compiled.rounds, compiled.stream,
-                               seed, carry);
+                               seed, carry, pool);
         out.serviceNs = out.run.wallTimeNs;
     }
     return out;
@@ -309,8 +310,9 @@ prepareGangMembers(ChipPool &pool, const std::vector<int> &member,
 }
 
 ArtifactMeta::ArtifactMeta(const FleetConfig &fcfg,
-                           const power::Calibration &cal)
-    : fcfg(&fcfg), cal(cal), skus(fcfg)
+                           const power::Calibration &cal,
+                           const pim::PimConfig &cfg)
+    : fcfg(&fcfg), cal(cal), cfg(cfg), skus(fcfg)
 {
     classTable.reserve(static_cast<size_t>(skus.classes()));
     for (int cls = 0; cls < skus.classes(); ++cls) {
@@ -327,11 +329,10 @@ ArtifactMeta::gangClasses(const shard::ShardedModel *m) const
     return gangInfo.at(m->plan.modelName).slotClasses;
 }
 
-const std::vector<shard::StageEnv> *
-ArtifactMeta::stageEnvs(const shard::ShardedModel *m) const
+const std::vector<const sim::Runtime *> &
+ArtifactMeta::stageRuntimes(const shard::ShardedModel *m) const
 {
-    const auto &envs = gangInfo.at(m->plan.modelName).stageEnvs;
-    return envs.empty() ? nullptr : &envs;
+    return gangInfo.at(m->plan.modelName).stageRuntimes;
 }
 
 const GangSpec *
@@ -432,6 +433,10 @@ ArtifactMeta::gangInfoOf(const std::string &model,
         2.0 * (sharded.scaledMacs() / fcfg->options.workScale) /
         cal.peakTops / 1e6;
     info.safeLevel = 0; // worst stage level below
+    // Stage runtimes, one per distinct member class: a SKU stage
+    // runs on its slot's part with the SKU's PDN corner, a SKU-less
+    // fleet's on the engine's chip under the artifact's options.
+    std::map<int, const sim::Runtime *> class_runtime;
     size_t slot = 0;
     for (size_t s = 0; s < sharded.stages.size(); ++s) {
         const auto &stage = sharded.plan.stages[s];
@@ -450,10 +455,18 @@ ArtifactMeta::gangInfoOf(const std::string &model,
             info.slotClasses.push_back(
                 route.slotClasses[slot + static_cast<size_t>(w)]);
         }
-        if (const ChipSku *sku = skus.sku(cls))
-            info.stageEnvs.push_back(
-                {sku->pim, sku->cal,
-                 runConfigForSku(fcfg->options, *sku)});
+        const sim::Runtime *&runtime = class_runtime[cls];
+        if (!runtime) {
+            const ChipSku *sku = skus.sku(cls);
+            gangRuntimes.push_back(
+                sku ? std::make_unique<const sim::Runtime>(
+                          sku->pim, sku->cal,
+                          runConfigForSku(fcfg->options, *sku))
+                    : std::make_unique<const sim::Runtime>(
+                          cfg, cal, runConfigFor(sharded.options)));
+            runtime = gangRuntimes.back().get();
+        }
+        info.stageRuntimes.push_back(runtime);
         slot += static_cast<size_t>(stage.ways);
     }
     return gangInfo.emplace(model, std::move(info)).first->second;

@@ -18,8 +18,9 @@
  *   ArtifactMeta    -- annotation of a Request into a QueuedRequest:
  *                      per-class artifacts through the ModelCache plus
  *                      the memoized scheduling keys (estimated service
- *                      time, safe level, reload cost, gang slot layout
- *                      and stage environments)
+ *                      time, safe level, reload cost, gang slot layout)
+ *                      and each gang model's stage runtimes, built
+ *                      once per run on the annotating thread
  *
  * The report goldens (tests/serve/ServeGoldenTest) pin the
  * arithmetic.
@@ -30,6 +31,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,11 @@
 #include "serve/Fleet.hh"
 #include "serve/ModelCache.hh"
 #include "serve/Scheduler.hh"
+
+namespace aim::exec
+{
+class ExecPool;
+} // namespace aim::exec
 
 namespace aim::isa
 {
@@ -288,7 +295,9 @@ struct ExecResult
  * produce bit-identical RunReports; the ISA path additionally
  * surfaces the per-request tail-idle overlap budget.  Stateless
  * across run() calls (thread-safe for concurrent use), exactly like
- * the runtimes it wraps.
+ * the runtimes it wraps.  The serving loop calls it from its
+ * execute-ahead workers without a pool, and at dispatch with its own
+ * pool so one request's rounds run concurrently.
  */
 class RequestExecutor
 {
@@ -305,10 +314,14 @@ class RequestExecutor
     /**
      * Execute @p compiled with per-request @p seed.  @p carry has
      * Runtime::run's electrical-state-carry semantics on both paths.
+     * @p pool, when given and no carry is, runs the request's rounds
+     * concurrently (Runtime::run / isa::Engine::run); the result is
+     * bit-identical either way.
      */
     ExecResult
     run(const CompiledModel &compiled, uint64_t seed,
-        std::unique_ptr<power::IrState> *carry = nullptr) const;
+        std::unique_ptr<power::IrState> *carry = nullptr,
+        exec::ExecPool *pool = nullptr) const;
 
   private:
     double workScale;
@@ -329,9 +342,10 @@ classExecutors(const FleetSkus &skus, const pim::PimConfig &cfg,
  * the per-model and per-(model, class) derived quantities (weight
  * footprint, reload cost, gang routing, estimated full-inference
  * service time, worst safe level, gang slot layout and stage
- * environments) so a million-request stream derives them once per
- * model instead of once per request.  One instance per serve run;
- * not thread-safe.
+ * runtimes) so a million-request stream derives them once per model
+ * instead of once per request.  One instance per serve run; not
+ * thread-safe, though its const accessors may be read concurrently
+ * while nothing annotates.
  */
 class ArtifactMeta
 {
@@ -345,8 +359,10 @@ class ArtifactMeta
         std::vector<double> reloadUs;
     };
 
+    /** @p cfg and @p cal are the chip of a SKU-less fleet. */
     ArtifactMeta(const FleetConfig &fcfg,
-                 const power::Calibration &cal);
+                 const power::Calibration &cal,
+                 const pim::PimConfig &cfg = pim::PimConfig{});
 
     /**
      * Resolve @p request into a QueuedRequest: artifacts from
@@ -372,12 +388,14 @@ class ArtifactMeta
     gangClasses(const shard::ShardedModel *m) const;
 
     /**
-     * Per-stage chip environments of a gang artifact (each stage on
-     * its member slot's SKU), for ShardedRuntime::execute; nullptr on
-     * a SKU-less fleet, where every stage runs on the engine's chip.
+     * Per-stage runtimes of a gang artifact annotated earlier, for
+     * ShardedRuntime::execute: each stage on its member slot's SKU
+     * (a SKU-less fleet's on the engine's chip).  Built once per
+     * model when annotate first meets it, one per distinct member
+     * class, and shared by the stages that class hosts.
      */
-    const std::vector<shard::StageEnv> *
-    stageEnvs(const shard::ShardedModel *m) const;
+    const std::vector<const sim::Runtime *> &
+    stageRuntimes(const shard::ShardedModel *m) const;
 
     /** Gang rule of @p model, or nullptr when it serves single-chip. */
     const GangSpec *gangSpec(const std::string &model) const;
@@ -415,7 +433,8 @@ class ArtifactMeta
         int safeLevel = 100;
         GangSlots slots;
         std::vector<int> slotClasses;
-        std::vector<shard::StageEnv> stageEnvs;
+        /** Owned by ArtifactMeta::gangRuntimes. */
+        std::vector<const sim::Runtime *> stageRuntimes;
     };
 
     const ModelInfo &modelInfo(const std::string &model);
@@ -432,6 +451,7 @@ class ArtifactMeta
 
     const FleetConfig *fcfg;
     power::Calibration cal;
+    pim::PimConfig cfg;
     FleetSkus skus;
     /** Per-class V-f tables (safe-level derivation). */
     std::vector<power::VfTable> classTable;
@@ -447,6 +467,7 @@ class ArtifactMeta
      */
     std::map<std::pair<std::string, int>, ArtifactInfo> artifactInfo;
     std::map<std::string, GangInfo> gangInfo;
+    std::vector<std::unique_ptr<const sim::Runtime>> gangRuntimes;
 };
 
 /**

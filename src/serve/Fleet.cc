@@ -143,13 +143,6 @@ Fleet::serve(const std::vector<Request> &trace, ModelCache &cache)
     if (trace.empty())
         return rep;
     const auto n = static_cast<long>(trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        aim_assert(trace[i].id >= 0 && trace[i].id < n,
-                   "request ids must be dense in [0, N), got ",
-                   trace[i].id);
-        aim_assert(i == 0 || trace[i].arrivalUs >= trace[i - 1].arrivalUs,
-                   "trace must be sorted by arrival time");
-    }
 
     // Control off: no autoscaler, unbounded admission, no batching,
     // exact service.  The loop serves `trace` itself; its generator

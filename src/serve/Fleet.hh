@@ -24,13 +24,15 @@
  * latencies, SLOs and TOPS are in real units.
  *
  * Fleet::serve is the finite-trace adapter of the one serving engine,
- * stream::EventLoop: it checks the trace, runs the loop over it with
- * the control plane off (no autoscaler, unbounded admission, no
- * batching, exact service) and copies the report.  Chip executions
- * run ahead of dispatch on FleetConfig::threads host workers; every
- * request's report is a pure function of its (artifact, SKU class,
- * id-derived seed), so the ServeReport is bit-identical at any
- * thread count.
+ * stream::EventLoop: it runs the loop over the trace with the control
+ * plane off (no autoscaler, unbounded admission, no batching, exact
+ * service) and copies the report; the loop checks the trace.  Each
+ * request executes once, on FleetConfig::threads host workers: ahead
+ * of dispatch when its landing SKU class is certain (gangs, and
+ * requests one class alone can host), else at dispatch with its
+ * rounds on the workers.  Every request's report is a pure function
+ * of its (artifact, SKU class, id-derived seed), so the ServeReport
+ * is bit-identical at any thread count.
  */
 
 #ifndef AIM_SERVE_FLEET_HH
@@ -165,9 +167,10 @@ class Fleet
      * Serve a trace to completion (non-preemptive, chip-exclusive)
      * on stream::EventLoop.  Artifacts come from @p cache, compiled
      * on first use; ids must be dense in [0, N) and the trace sorted
-     * by arrival time (generateTrace output is).  Chip executions
-     * run on FleetConfig::threads host workers; the returned report
-     * is bit-identical at any thread count.
+     * by arrival time (generateTrace output is; the loop checks
+     * both).  Chip executions run on FleetConfig::threads host
+     * workers; the returned report is bit-identical at any thread
+     * count.
      *
      * Requests for a FleetConfig::gangs model execute sharded: the
      * fleet acquires the gang's chips atomically (start waits for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
 #include "exec/ExecPool.hh"
@@ -101,13 +102,39 @@ ShardReport
 ShardedRuntime::execute(const ShardedModel &sharded, uint64_t seed,
                         const std::vector<StageEnv> *stageEnvs) const
 {
+    const size_t S = sharded.stages.size();
+    aim_assert(!stageEnvs || stageEnvs->size() == S,
+               "stage environments must match the stage count: ",
+               stageEnvs ? stageEnvs->size() : 0, " for ", S);
+    // With stage environments every stage simulates on its member's
+    // chip; the homogeneous path shares one runtime on the
+    // constructor environment.
+    std::vector<sim::Runtime> built;
+    if (stageEnvs) {
+        built.reserve(S);
+        for (const auto &env : *stageEnvs)
+            built.emplace_back(env.cfg, env.cal, env.rcfg);
+    } else {
+        built.emplace_back(cfg, cal, runConfigFor(sharded.options));
+    }
+    std::vector<const sim::Runtime *> stageRt;
+    for (size_t s = 0; s < S; ++s)
+        stageRt.push_back(&built[stageEnvs ? s : 0]);
+    return execute(sharded, seed, stageRt);
+}
+
+ShardReport
+ShardedRuntime::execute(
+    const ShardedModel &sharded, uint64_t seed,
+    const std::vector<const sim::Runtime *> &stageRuntimes,
+    exec::ExecPool *pool) const
+{
     const int S = static_cast<int>(sharded.stages.size());
     const int M = rcfg.microBatches;
     aim_assert(S >= 1, "sharded model has no stages");
-    aim_assert(!stageEnvs ||
-                   static_cast<int>(stageEnvs->size()) == S,
-               "stage environments must match the stage count: ",
-               stageEnvs ? stageEnvs->size() : 0, " for ", S);
+    aim_assert(static_cast<int>(stageRuntimes.size()) == S,
+               "stage runtimes must match the stage count: ",
+               stageRuntimes.size(), " for ", S);
 
     ShardReport rep;
     rep.modelName = sharded.plan.modelName;
@@ -125,10 +152,9 @@ ShardedRuntime::execute(const ShardedModel &sharded, uint64_t seed,
     std::vector<std::vector<sim::Round>> microRounds(
         static_cast<size_t>(S));
     for (int s = 0; s < S; ++s) {
-        const long floor =
-            (stageEnvs ? (*stageEnvs)[static_cast<size_t>(s)].cfg
-                       : cfg)
-                .macsPerMacroPerPass();
+        const long floor = stageRuntimes[static_cast<size_t>(s)]
+                               ->environment()
+                               .cfg.macsPerMacroPerPass();
         microRounds[static_cast<size_t>(s)] =
             sharded.stages[static_cast<size_t>(s)].rounds;
         if (M > 1)
@@ -141,33 +167,20 @@ ShardedRuntime::execute(const ShardedModel &sharded, uint64_t seed,
     // Execute the (stage, micro-batch) grid.  Each cell is a pure
     // function of (stage artifact, index-derived seed): which worker
     // computes it cannot change its bits, so the pipeline replay
-    // below is deterministic at any thread count.  With stage
-    // environments every stage simulates on its member's chip; the
-    // homogeneous path keeps one shared runtime (byte-identical to
-    // the pre-SKU flow).
-    std::vector<sim::Runtime> stageRt;
-    if (stageEnvs) {
-        stageRt.reserve(static_cast<size_t>(S));
-        for (const auto &env : *stageEnvs)
-            stageRt.emplace_back(env.cfg, env.cal, env.rcfg);
-    } else {
-        stageRt.emplace_back(cfg, cal,
-                             runConfigFor(sharded.options));
-    }
+    // below is deterministic at any thread count.
     std::vector<sim::RunReport> grid(
         static_cast<size_t>(S) * static_cast<size_t>(M));
-    exec::ExecPool pool(rcfg.threads == 0 ? -1 : rcfg.threads);
-    pool.parallelFor(
+    std::optional<exec::ExecPool> own;
+    if (!pool)
+        pool = &own.emplace(rcfg.threads == 0 ? -1 : rcfg.threads);
+    pool->parallelFor(
         static_cast<long>(grid.size()), [&](long i) {
-            const int s = static_cast<int>(i) / M;
+            const auto s = static_cast<size_t>(i / M);
             uint64_t cell = exec::ExecPool::taskSeed(seed, i);
             if (cell == 0)
                 cell = 1;
-            const sim::Runtime &runtime =
-                stageRt[stageEnvs ? static_cast<size_t>(s) : 0];
-            grid[static_cast<size_t>(i)] = runtime.run(
-                microRounds[static_cast<size_t>(s)],
-                sharded.stages[static_cast<size_t>(s)].stream, cell);
+            grid[static_cast<size_t>(i)] = stageRuntimes[s]->run(
+                microRounds[s], sharded.stages[s].stream, cell);
         });
 
     const InterconnectModel link(rcfg.interconnect);

@@ -19,6 +19,13 @@
  * over the memoized reports.  A ShardReport for a fixed (model,
  * partition, seed) is bit-identical at any thread count
  * (tests/shard/ShardedRuntimeTest).
+ *
+ * The grid runs over prebuilt per-stage sim::Runtimes.  The serving
+ * loop builds a gang model's runtimes once per run
+ * (serve::ArtifactMeta) and hands in its own pool: at dispatch the
+ * grid fans out on it, and inside one of that pool's execute-ahead
+ * workers it runs inline.  The StageEnv form builds the runtimes per
+ * call and forwards, so the grid and the pipeline replay exist once.
  */
 
 #ifndef AIM_SHARD_SHARDEDRUNTIME_HH
@@ -30,6 +37,11 @@
 #include "aim/Aim.hh"
 #include "shard/Interconnect.hh"
 #include "shard/Partitioner.hh"
+
+namespace aim::exec
+{
+class ExecPool;
+} // namespace aim::exec
 
 namespace aim::shard
 {
@@ -176,9 +188,22 @@ class ShardedRuntime
      * environment of its member slot (@p stageEnvs, one entry per
      * stage).  nullptr falls back to the constructor environment for
      * every stage -- byte-identical to the two-argument overload.
+     * Builds the stage runtimes and forwards to the runtime form.
      */
     ShardReport execute(const ShardedModel &sharded, uint64_t seed,
                         const std::vector<StageEnv> *stageEnvs) const;
+
+    /**
+     * Execute over prebuilt stage runtimes: @p stageRuntimes holds
+     * one runtime per stage (entries may repeat), each configured
+     * for the member hosting the stage.  The grid runs on @p pool,
+     * or -- when null -- on a pool of the config's thread count.
+     * Bit-identical to the StageEnv form over the same environments.
+     */
+    ShardReport
+    execute(const ShardedModel &sharded, uint64_t seed,
+            const std::vector<const sim::Runtime *> &stageRuntimes,
+            exec::ExecPool *pool = nullptr) const;
 
     const ShardRuntimeConfig &config() const { return rcfg; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/ExecPool.hh"
 #include "sim/ChipState.hh"
 #include "sim/WindowKernel.hh"
 #include "util/Logging.hh"
@@ -112,14 +113,23 @@ Runtime::run(const std::vector<Round> &rounds,
 RunReport
 Runtime::run(const std::vector<Round> &rounds,
              const pim::StreamSpec &stream, uint64_t seed,
-             std::unique_ptr<power::IrState> *carry) const
+             std::unique_ptr<power::IrState> *carry,
+             exec::ExecPool *pool) const
 {
     const auto toggles =
         pim::estimateToggleStats(stream, env.cfg.rows, 200, seed);
-    std::vector<RunReport> parts;
-    parts.reserve(rounds.size());
-    for (const auto &round : rounds)
-        parts.push_back(runRound(round, toggles, ++seed, carry));
+    std::vector<RunReport> parts(rounds.size());
+    const auto round = [&](long r) {
+        const auto i = static_cast<size_t>(r);
+        parts[i] = runRound(rounds[i], toggles,
+                            seed + static_cast<uint64_t>(r) + 1, carry);
+    };
+    const auto n = static_cast<long>(rounds.size());
+    if (pool && !carry)
+        pool->parallelFor(n, round);
+    else
+        for (long r = 0; r < n; ++r)
+            round(r);
     return mergeReports(parts);
 }
 

@@ -17,6 +17,12 @@
  * mutable state, sim/WindowKernel advances one window, and Runtime
  * is the thin orchestrator that maps tasks, loops windows and
  * finalizes reports.
+ *
+ * Without an electrical-state carry a run's rounds are independent:
+ * round r reads only the run's shared toggle statistics and its own
+ * seed (run seed + r + 1).  Runtime::run can therefore execute them
+ * on an exec::ExecPool into per-round slots and merge the slots in
+ * round order, bit-identically to the serial loop.
  */
 
 #ifndef AIM_SIM_RUNTIME_HH
@@ -34,6 +40,11 @@
 #include "power/PowerModel.hh"
 #include "power/VfTable.hh"
 #include "sim/Compiler.hh"
+
+namespace aim::exec
+{
+class ExecPool;
+} // namespace aim::exec
 
 namespace aim::sim
 {
@@ -198,10 +209,17 @@ class Runtime
      * stream, seed).  Callers that carry state serialize runs per
      * chip themselves; the carry pointer must not be shared across
      * concurrent calls.
+     *
+     * @param pool optional host pool: without a carry the rounds run
+     *        on it concurrently and merge in round order, so the
+     *        report is bit-identical to the serial run at any thread
+     *        count.  A carry chains the rounds, so it makes the run
+     *        serial and the pool is ignored.
      */
     RunReport run(const std::vector<Round> &rounds,
                   const pim::StreamSpec &stream, uint64_t seed,
-                  std::unique_ptr<power::IrState> *carry) const;
+                  std::unique_ptr<power::IrState> *carry,
+                  exec::ExecPool *pool = nullptr) const;
 
     /** Access the V-f table (for reporting). */
     const power::VfTable &vfTable() const { return env.table; }

@@ -197,6 +197,16 @@ StreamReport
 EventLoop::run(serve::ModelCache &cache,
                const std::vector<serve::Request> &trace)
 {
+    // Ids index the latency vectors, and a later arrival must not
+    // precede an earlier one in simulated time.
+    const auto n = static_cast<long>(trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        aim_assert(trace[i].id >= 0 && trace[i].id < n,
+                   "request ids must be dense in [0, N), got ",
+                   trace[i].id);
+        aim_assert(i == 0 || trace[i].arrivalUs >= trace[i - 1].arrivalUs,
+                   "trace must be sorted by arrival time");
+    }
     size_t next = 0;
     return runFrom(cache, static_cast<long>(trace.size()),
                    [&] { return trace[next++]; });
@@ -222,7 +232,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
 
     // A SKU-less fleet is one class on the constructor's (cfg, cal)
     // pair: every per-class structure below has one entry.
-    serve::ArtifactMeta meta(fcfg, cal);
+    serve::ArtifactMeta meta(fcfg, cal, cfg);
     const serve::FleetSkus &skus = meta.fleetSkus();
     const int nclasses = skus.classes();
     serve::ChipPool pool(fcfg.chips);
@@ -285,12 +295,11 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
         return s != 0 ? s : 1;
     };
 
-    // Exact-service reports, keyed by (id, SKU class) -- one per class
-    // that can host a single-chip request -- and by id for gangs.
-    // Dispatch consumes a request's reports and admission drops a
-    // shed one's, so the maps stay within the queue plus the ahead
-    // window.
-    std::map<std::pair<long, int>, serve::ExecResult> ready;
+    // Executed-ahead reports, keyed by request id (single-chip and
+    // gang requests apart).  Dispatch consumes a request's report and
+    // admission drops a shed one's, so the maps stay within the queue
+    // plus the ahead window.
+    std::map<long, serve::ExecResult> ready;
     std::map<long, shard::ShardReport> shard_ready;
     // Sampled-service pools, keyed by (model, SKU class).
     std::map<std::pair<std::string, int>,
@@ -330,92 +339,96 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
         ++pulled;
     };
 
+    // A gang's grid fans out on the loop's pool at dispatch and runs
+    // inline inside an execute-ahead worker of that pool.
     const auto execute_gang = [&](const serve::QueuedRequest &q) {
         shard::ShardRuntimeConfig sc;
         sc.microBatches = meta.gangSpec(q.request.model)->microBatches;
-        sc.threads = 1;
         sc.interconnect = fcfg.interconnect;
         return shard::ShardedRuntime(cfg, cal, sc)
             .execute(*q.sharded, request_seed(q.request.id),
-                     meta.stageEnvs(q.sharded.get()));
+                     meta.stageRuntimes(q.sharded.get()), &exec);
     };
 
-    const auto has_report = [&](const serve::QueuedRequest &q,
-                                int cls) {
-        return q.sharded ? shard_ready.count(q.request.id) > 0
-                         : ready.count({q.request.id, cls}) > 0;
+    // The SKU class a single-chip request is certain to land on: the
+    // one class that fits it and has chips, or -1 when several do.
+    const auto landing_class = [&](const serve::QueuedRequest &q) {
+        int only = -1;
+        for (int cls = 0; cls < nclasses; ++cls)
+            if (q.compiledByClass[static_cast<size_t>(cls)] &&
+                skus.hosts(cls)) {
+                if (only >= 0)
+                    return -1;
+                only = cls;
+            }
+        return only;
+    };
+
+    // Execute ahead only what dispatch is certain to read: gangs
+    // (their slot classes are fixed) and single-chip requests that
+    // one class alone can host.  The rest execute at dispatch.
+    const auto awaits_report = [&](const serve::QueuedRequest &q) {
+        return q.sharded ? shard_ready.count(q.request.id) == 0
+                         : landing_class(q) >= 0 &&
+                               ready.count(q.request.id) == 0;
     };
 
     const auto drop_reports = [&](long id) {
-        ready.erase(ready.lower_bound({id, 0}),
-                    ready.lower_bound({id + 1, 0}));
+        ready.erase(id);
         shard_ready.erase(id);
     };
 
-    // Execute ahead: when a dispatched request lacks its report, pull
-    // the source up to the ahead window and execute every queued or
-    // pulled-ahead request that lacks one, concurrently on the pool.
-    // Reports are pure functions of (artifact, SKU class, id-keyed
-    // seed), so neither the thread count nor the batching changes a
-    // single bit of them.  Single-chip requests execute once per
-    // class that can host them; dispatch consumes the landing chip's.
+    // Execute ahead: when a dispatched request awaits its report,
+    // pull the source up to the ahead window and execute every queued
+    // or pulled-ahead request that awaits one, concurrently on the
+    // pool.  Reports are pure functions of (artifact, SKU class,
+    // id-keyed seed), so neither the thread count nor the batching
+    // changes a single bit of them.
     const long ahead_window = kAheadPerThread * exec.threads();
     const auto execute_ahead = [&] {
         while (static_cast<long>(upcoming.size()) < ahead_window &&
                pulled < horizon)
             pull_one();
-        struct Job
-        {
-            const serve::QueuedRequest *q;
-            int cls;
-        };
-        std::vector<Job> todo;
-        const auto collect = [&](const serve::QueuedRequest &q) {
-            if (q.sharded) {
-                if (!has_report(q, 0))
-                    todo.push_back({&q, 0});
-                return;
-            }
-            for (int cls = 0; cls < nclasses; ++cls)
-                if (q.compiledByClass[static_cast<size_t>(cls)] &&
-                    !has_report(q, cls))
-                    todo.push_back({&q, cls});
-        };
+        std::vector<const serve::QueuedRequest *> todo;
         for (int m = 0; m < pending.queues(); ++m)
             for (size_t i = 0; i < pending.depth(m); ++i)
-                collect(pending.at(m, i));
+                if (awaits_report(pending.at(m, i)))
+                    todo.push_back(&pending.at(m, i));
         for (const auto &q : upcoming)
-            collect(q);
+            if (awaits_report(q))
+                todo.push_back(&q);
         // Longest first: workers pull items in order, so the short
         // executions left at the end even out the workers' finish
         // times (a GPT2 run pulled last would idle the others for its
         // whole length).
         std::stable_sort(todo.begin(), todo.end(),
-                         [](const Job &a, const Job &b) {
-                             return a.q->estServiceUs >
-                                    b.q->estServiceUs;
+                         [](const serve::QueuedRequest *a,
+                            const serve::QueuedRequest *b) {
+                             return a->estServiceUs > b->estServiceUs;
                          });
         std::vector<serve::ExecResult> runs(todo.size());
         std::vector<shard::ShardReport> shard_runs(todo.size());
         exec.parallelFor(
             static_cast<long>(todo.size()), [&](long i) {
-                const Job &job = todo[static_cast<size_t>(i)];
-                if (job.q->sharded)
+                const serve::QueuedRequest &q =
+                    *todo[static_cast<size_t>(i)];
+                if (q.sharded) {
                     shard_runs[static_cast<size_t>(i)] =
-                        execute_gang(*job.q);
-                else
-                    runs[static_cast<size_t>(i)] =
-                        executors[static_cast<size_t>(job.cls)]->run(
-                            *job.q->compiledByClass[static_cast<size_t>(
-                                job.cls)],
-                            request_seed(job.q->request.id));
+                        execute_gang(q);
+                    return;
+                }
+                const auto cls =
+                    static_cast<size_t>(landing_class(q));
+                runs[static_cast<size_t>(i)] = executors[cls]->run(
+                    *q.compiledByClass[cls],
+                    request_seed(q.request.id));
             });
         for (size_t i = 0; i < todo.size(); ++i) {
-            const long id = todo[i].q->request.id;
-            if (todo[i].q->sharded)
+            const long id = todo[i]->request.id;
+            if (todo[i]->sharded)
                 shard_ready[id] = std::move(shard_runs[i]);
             else
-                ready[{id, todo[i].cls}] = std::move(runs[i]);
+                ready[id] = std::move(runs[i]);
         }
     };
 
@@ -490,7 +503,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                 : 1;
         if (exact_service)
             for (size_t i = 0; i < take; ++i)
-                if (!has_report(pending.at(m, i), cls)) {
+                if (awaits_report(pending.at(m, i))) {
                     execute_ahead();
                     break;
                 }
@@ -578,21 +591,23 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                 *b.compiledByClass[static_cast<size_t>(cls)];
             serve::ExecResult owned;
             const serve::ExecResult *res = &owned;
-            if (scfg.transientCarry) {
-                owned = executors[static_cast<size_t>(cls)]->run(
-                    compiled, request_seed(id),
-                    &carry[static_cast<size_t>(c)]);
-            } else if (scfg.serviceSamples > 0) {
+            if (scfg.serviceSamples > 0) {
                 res = &model_samples(b.request.model, compiled,
                                      cls)[static_cast<size_t>(
                     request_seed(id) %
                     static_cast<uint64_t>(scfg.serviceSamples))];
-            } else {
-                const auto it = ready.find({id, cls});
-                aim_assert(it != ready.end(), "request ", id,
-                           " dispatched without an executed report");
+            } else if (const auto it = ready.find(id);
+                       it != ready.end()) {
                 owned = std::move(it->second);
-                drop_reports(id);
+                ready.erase(it);
+            } else {
+                // Executed now, on the landing chip's class, with its
+                // rounds on the pool (serial under a carry).
+                owned = executors[static_cast<size_t>(cls)]->run(
+                    compiled, request_seed(id),
+                    scfg.transientCarry ? &carry[static_cast<size_t>(c)]
+                                        : nullptr,
+                    &exec);
             }
             const double service_us =
                 res->serviceNs / 1000.0 / work_scale;

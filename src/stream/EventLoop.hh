@@ -37,18 +37,28 @@
  * are drawn once and requests sample among them by their id-keyed
  * seed) -- the latter is what makes a day-long million-request bench
  * tractable while keeping per-request variation.  Exact service
- * executes ahead: a report is a pure function of (artifact, SKU
- * class, id-keyed seed), so when a dispatched request has none the
- * loop pulls the source a fixed multiple of the host thread count
- * ahead and executes every queued or pulled-ahead request that lacks
- * one in a single exec::ExecPool fan-out, longest predicted service
- * first so the workers finish together.  Reports are therefore
+ * executes each request once, on the SKU class it lands on.  A
+ * report is a pure function of (artifact, SKU class, id-keyed seed),
+ * so whatever dispatch is certain to read executes ahead: gangs
+ * (their slot classes are fixed) and single-chip requests that one
+ * class alone can host (it fits them and has chips -- every request
+ * of a one-class fleet).  When a dispatched request of that kind has
+ * no report yet, the loop pulls the source a fixed multiple of the
+ * host thread count ahead and executes every queued or pulled-ahead
+ * request of that kind that lacks one in a single exec::ExecPool
+ * fan-out, longest predicted service first so the workers finish
+ * together; a gang's grid runs inline in its worker.  A request that
+ * several classes could host executes at dispatch on the landing
+ * chip's class instead, its rounds spread over the same pool
+ * (Runtime::run / isa::Engine::run), and a gang dispatched without a
+ * report fans its grid out there too.  Reports are therefore
  * bit-identical across --threads counts, and requests that admission
  * later sheds simply drop theirs (they were annotated at pull, so
  * they still count in the cache counters).  With
- * StreamConfig::transientCarry, requests execute serially at
- * dispatch and thread each chip's settled electrical state into the
- * next request on that chip (power::IrState burst continuity).
+ * StreamConfig::transientCarry, requests execute at dispatch with
+ * their rounds serial, and thread each chip's settled electrical
+ * state into the next request on that chip (power::IrState burst
+ * continuity).
  */
 
 #ifndef AIM_STREAM_EVENTLOOP_HH
@@ -136,7 +146,8 @@ class EventLoop
      * Serve the finite @p trace instead of the configured source:
      * its requests arrive in vector order and the horizon is its
      * size (StreamConfig::trace and maxRequests are not read).  Ids
-     * must be dense in [0, trace.size()) and arrivals sorted.
+     * must lie in [0, trace.size()) and arrivals must not decrease;
+     * either violation is fatal.
      */
     StreamReport run(serve::ModelCache &cache,
                      const std::vector<serve::Request> &trace);

@@ -116,6 +116,23 @@ TEST(ExecPool, TaskSeedsAreThreadCountInvariant)
     EXPECT_FALSE(uniq.count(0));
 }
 
+TEST(ExecPool, NestedParallelForRunsInlineOnItsWorkers)
+{
+    // Every outer item fans out again on the same pool.  The inner
+    // call runs inline on the worker instead of waiting on a pool
+    // whose in-flight count includes its own caller.
+    const auto f = [](long i, long j) { return i * 1000 + j * j; };
+    std::vector<long> serial(8 * 16), nested(8 * 16);
+    for (long i = 0; i < 8; ++i)
+        for (long j = 0; j < 16; ++j)
+            serial[i * 16 + j] = f(i, j);
+    ExecPool pool(4);
+    pool.parallelFor(8, [&](long i) {
+        pool.parallelFor(16, [&](long j) { nested[i * 16 + j] = f(i, j); });
+    });
+    EXPECT_EQ(nested, serial);
+}
+
 TEST(SweepDriver, ResultsComeBackInPointOrder)
 {
     ExecPool pool(4);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "exec/ExecPool.hh"
+#include "serve/ChipSku.hh"
 #include "shard/ShardedRuntime.hh"
 
 using namespace aim;
@@ -137,6 +139,65 @@ TEST(ShardedRuntime, ReportIsBitIdenticalAcrossThreads)
         expectIdentical(serial, run(resnetSharded(), threads));
     // threads = 0 resolves to the hardware concurrency.
     expectIdentical(serial, run(resnetSharded(), 0));
+}
+
+TEST(ShardedRuntime, PrebuiltRuntimesMatchTheStageEnvFormHomogeneous)
+{
+    // The constructor-environment form builds one runtime shared by
+    // every stage; the runtime form takes it prebuilt, with or
+    // without a caller pool.
+    const ShardedModel &sharded = resnetSharded();
+    ShardRuntimeConfig rcfg;
+    rcfg.microBatches = 3;
+    const ShardedRuntime rt(fixture().cfg, fixture().cal, rcfg);
+    const ShardReport want = rt.execute(sharded, 77, nullptr);
+    const sim::Runtime shared(fixture().cfg, fixture().cal,
+                              runConfigFor(sharded.options));
+    const std::vector<const sim::Runtime *> stages(
+        sharded.stages.size(), &shared);
+    expectIdentical(rt.execute(sharded, 77, stages), want);
+    for (const int threads : {1, 2, 4}) {
+        exec::ExecPool pool(threads);
+        expectIdentical(rt.execute(sharded, 77, stages, &pool), want);
+    }
+}
+
+TEST(ShardedRuntime, PrebuiltRuntimesMatchTheStageEnvFormMixedSku)
+{
+    // A big + small gang: every stage compiles and simulates on its
+    // member slot's part, with the SKU's PDN corner applied.
+    const std::vector<serve::ChipSku> slots = {serve::bigSku(),
+                                               serve::smallSku()};
+    PartitionConfig pcfg;
+    pcfg.chips = 2;
+    pcfg.memberCapacity = {slots[0].capacityMweight(),
+                           slots[1].capacityMweight()};
+    const ShardedModel sharded = compileShardedSlots(
+        workload::resnet18(), fixture().quick(), pcfg,
+        {slots[0].pim, slots[1].pim}, {slots[0].cal, slots[1].cal});
+    std::vector<StageEnv> envs;
+    std::vector<sim::Runtime> built;
+    size_t slot = 0;
+    for (const auto &stage : sharded.plan.stages) {
+        const serve::ChipSku &sku = slots[slot];
+        envs.push_back({sku.pim, sku.cal,
+                        serve::runConfigForSku(sharded.options, sku)});
+        built.emplace_back(sku.pim, sku.cal, envs.back().rcfg);
+        slot += static_cast<size_t>(stage.ways);
+    }
+    ASSERT_GE(envs.size(), 2u);
+    std::vector<const sim::Runtime *> stages;
+    for (const auto &runtime : built)
+        stages.push_back(&runtime);
+
+    ShardRuntimeConfig rcfg;
+    rcfg.microBatches = 2;
+    const ShardedRuntime rt(fixture().cfg, fixture().cal, rcfg);
+    const ShardReport want = rt.execute(sharded, 31, &envs);
+    for (const int threads : {1, 2, 4}) {
+        exec::ExecPool pool(threads);
+        expectIdentical(rt.execute(sharded, 31, stages, &pool), want);
+    }
 }
 
 TEST(ShardedRuntime, RepeatedRunsAreStable)

@@ -1,0 +1,240 @@
+/**
+ * @file
+ * Round-parallel execution: Runtime::run and isa::Engine::run on an
+ * exec::ExecPool of 1, 2 and 4 threads must reproduce the serial run
+ * field for field -- the per-round latency vector, the per-opcode
+ * issue counters, the tail-idle budget and both makespans included --
+ * on every droop backend and on zoo artifacts with and without a
+ * Schedule.  A carry chains the rounds and a trace sink records the
+ * serial event order, so either one makes the run ignore the pool.
+ */
+
+#include <sstream>
+
+#include <gtest/gtest.h>
+
+#include "TestUtil.hh"
+#include "aim/Aim.hh"
+#include "exec/ExecPool.hh"
+#include "isa/Engine.hh"
+#include "isa/Lower.hh"
+#include "isa/Schedule.hh"
+#include "workload/ModelZoo.hh"
+
+using namespace aim;
+
+namespace
+{
+
+using test::convRound;
+
+constexpr int kPoolThreads[] = {1, 2, 4};
+
+void
+expectSameRun(const sim::RunReport &a, const sim::RunReport &b)
+{
+    EXPECT_EQ(a.wallTimeNs, b.wallTimeNs);
+    EXPECT_EQ(a.totalMacs, b.totalMacs);
+    EXPECT_EQ(a.tops, b.tops);
+    EXPECT_EQ(a.macroPowerMw, b.macroPowerMw);
+    EXPECT_EQ(a.irWorstMv, b.irWorstMv);
+    EXPECT_EQ(a.irMeanMv, b.irMeanMv);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.stallWindows, b.stallWindows);
+    EXPECT_EQ(a.usefulWindows, b.usefulWindows);
+    EXPECT_EQ(a.vfSwitches, b.vfSwitches);
+    EXPECT_EQ(a.meanLevel, b.meanLevel);
+    EXPECT_EQ(a.meanRtog, b.meanRtog);
+    EXPECT_EQ(a.roundLatencyNs, b.roundLatencyNs);
+}
+
+void
+expectSameEngine(const isa::EngineReport &a, const isa::EngineReport &b)
+{
+    expectSameRun(a.run, b.run);
+    EXPECT_EQ(a.decoded, b.decoded);
+    EXPECT_EQ(a.issued, b.issued);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.issuedByOp, b.issuedByOp);
+    EXPECT_EQ(a.fusedMacs, b.fusedMacs);
+    EXPECT_EQ(a.tailIdleNs, b.tailIdleNs);
+    EXPECT_EQ(a.inOrderMakespanNs, b.inOrderMakespanNs);
+    EXPECT_EQ(a.scheduledMakespanNs, b.scheduledMakespanNs);
+    EXPECT_EQ(a.scheduleSavedNs, b.scheduleSavedNs);
+}
+
+/** Uneven rounds, an empty one among them. */
+std::vector<sim::Round>
+unevenRounds()
+{
+    return {convRound(0.30, 16, 20'000'000), sim::Round{},
+            convRound(0.45, 8, 12'000'000, true),
+            convRound(0.55, 16, 6'000'000),
+            convRound(0.20, 4, 9'000'000)};
+}
+
+sim::RunConfig
+backendConfig(power::IrBackendKind kind)
+{
+    sim::RunConfig rcfg;
+    rcfg.mapper = mapping::MapperKind::Sequential;
+    rcfg.irBackend = kind;
+    rcfg.seed = 77;
+    return rcfg;
+}
+
+isa::Program
+lowered(const std::vector<sim::Round> &rounds,
+        const sim::RunConfig &rcfg)
+{
+    isa::LowerOptions lopts;
+    lopts.emitRetune = rcfg.useBooster;
+    isa::Program program = isa::lower(rounds, pim::PimConfig{}, lopts);
+    isa::fuseMacShift(program);
+    return program;
+}
+
+constexpr power::IrBackendKind kBackends[] = {
+    power::IrBackendKind::Analytic, power::IrBackendKind::Mesh,
+    power::IrBackendKind::Transient};
+
+} // namespace
+
+TEST(PooledRun, RuntimeMatchesSerialOnEveryBackend)
+{
+    const auto rounds = unevenRounds();
+    for (const auto kind : kBackends) {
+        const sim::Runtime rt(pim::PimConfig{},
+                              power::defaultCalibration(),
+                              backendConfig(kind));
+        const auto want = rt.run(rounds, test::stream(), 77);
+        for (const int threads : kPoolThreads) {
+            SCOPED_TRACE(std::string(power::irBackendName(kind)) + ", " +
+                         std::to_string(threads) + " threads");
+            exec::ExecPool pool(threads);
+            expectSameRun(
+                rt.run(rounds, test::stream(), 77, nullptr, &pool),
+                want);
+        }
+    }
+}
+
+TEST(PooledRun, EngineMatchesSerialOnEveryBackend)
+{
+    const auto rounds = unevenRounds();
+    for (const auto kind : kBackends) {
+        const sim::RunConfig rcfg = backendConfig(kind);
+        const isa::Program program = lowered(rounds, rcfg);
+        const isa::Schedule schedule = isa::scheduleProgram(program);
+        const isa::Engine engine(pim::PimConfig{},
+                                 power::defaultCalibration(), rcfg);
+        for (const isa::Schedule *sched : {
+                 static_cast<const isa::Schedule *>(nullptr),
+                 &schedule}) {
+            const auto want = engine.run(program, test::stream(), 77,
+                                         nullptr, nullptr, sched);
+            for (const int threads : kPoolThreads) {
+                SCOPED_TRACE(std::string(power::irBackendName(kind)) +
+                             (sched ? ", scheduled, " : ", ") +
+                             std::to_string(threads) + " threads");
+                exec::ExecPool pool(threads);
+                expectSameEngine(engine.run(program, test::stream(), 77,
+                                            nullptr, nullptr, sched,
+                                            &pool),
+                                 want);
+            }
+        }
+    }
+}
+
+TEST(PooledRun, ZooArtifactsWithAndWithoutScheduleMatchSerial)
+{
+    const pim::PimConfig cfg;
+    const auto cal = power::defaultCalibration();
+    const AimPipeline pipe(cfg, cal);
+    for (const bool scheduled : {false, true}) {
+        AimOptions opts = test::fastServeOptions();
+        opts.useIsa = true;
+        opts.isaSchedule = scheduled;
+        const CompiledModel art =
+            pipe.compile(workload::modelByName("ResNet18"), opts);
+        ASSERT_NE(art.program, nullptr);
+        ASSERT_EQ(art.schedule != nullptr, scheduled);
+        ASSERT_GT(art.rounds.size(), 1u);
+        const sim::RunConfig rcfg = runConfigFor(opts);
+        const sim::Runtime rt(cfg, cal, rcfg);
+        const isa::Engine engine(cfg, cal, rcfg);
+        const auto want_rt = rt.run(art.rounds, art.stream, 4242);
+        const auto want_en =
+            engine.run(*art.program, art.stream, 4242, nullptr, nullptr,
+                       art.schedule.get());
+        for (const int threads : kPoolThreads) {
+            SCOPED_TRACE(std::string(scheduled ? "scheduled, " : "") +
+                         std::to_string(threads) + " threads");
+            exec::ExecPool pool(threads);
+            expectSameRun(rt.run(art.rounds, art.stream, 4242, nullptr,
+                                 &pool),
+                          want_rt);
+            expectSameEngine(engine.run(*art.program, art.stream, 4242,
+                                        nullptr, nullptr,
+                                        art.schedule.get(), &pool),
+                             want_en);
+        }
+    }
+}
+
+TEST(PooledRun, CarryMakesTheRunIgnoreThePool)
+{
+    // A carry chains every round to the one before, so the pooled
+    // call must walk the rounds serially: the same reports and the
+    // same exported state (the second request reads it back).
+    const auto rounds = unevenRounds();
+    const sim::RunConfig rcfg =
+        backendConfig(power::IrBackendKind::Transient);
+    const sim::Runtime rt(pim::PimConfig{}, power::defaultCalibration(),
+                          rcfg);
+    const isa::Engine engine(pim::PimConfig{},
+                             power::defaultCalibration(), rcfg);
+    const isa::Program program = lowered(rounds, rcfg);
+
+    std::unique_ptr<power::IrState> rt_ref, en_ref;
+    const auto rt_a = rt.run(rounds, test::stream(), 5, &rt_ref);
+    const auto rt_b = rt.run(rounds, test::stream(), 6, &rt_ref);
+    const auto en_a = engine.run(program, test::stream(), 5, &en_ref);
+    const auto en_b = engine.run(program, test::stream(), 6, &en_ref);
+
+    exec::ExecPool pool(4);
+    std::unique_ptr<power::IrState> rt_carry, en_carry;
+    expectSameRun(rt.run(rounds, test::stream(), 5, &rt_carry, &pool),
+                  rt_a);
+    expectSameRun(rt.run(rounds, test::stream(), 6, &rt_carry, &pool),
+                  rt_b);
+    expectSameEngine(engine.run(program, test::stream(), 5, &en_carry,
+                                nullptr, nullptr, &pool),
+                     en_a);
+    expectSameEngine(engine.run(program, test::stream(), 6, &en_carry,
+                                nullptr, nullptr, &pool),
+                     en_b);
+    // The carried runs differ from the seedless ones, so the
+    // comparisons above could not pass on the parallel path.
+    EXPECT_NE(rt.run(rounds, test::stream(), 6).irMeanMv,
+              rt_b.irMeanMv);
+}
+
+TEST(PooledRun, TraceSinkMakesTheEngineIgnoreThePool)
+{
+    const auto rounds = unevenRounds();
+    const sim::RunConfig rcfg = backendConfig(power::IrBackendKind::Mesh);
+    const isa::Program program = lowered(rounds, rcfg);
+    const isa::Engine engine(pim::PimConfig{},
+                             power::defaultCalibration(), rcfg);
+    std::ostringstream serial_csv, pooled_csv;
+    isa::CsvTrace serial_trace(serial_csv), pooled_trace(pooled_csv);
+    const auto want =
+        engine.run(program, test::stream(), 77, nullptr, &serial_trace);
+    exec::ExecPool pool(4);
+    expectSameEngine(engine.run(program, test::stream(), 77, nullptr,
+                                &pooled_trace, nullptr, &pool),
+                     want);
+    EXPECT_EQ(pooled_csv.str(), serial_csv.str());
+}

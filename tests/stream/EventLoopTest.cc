@@ -220,3 +220,26 @@ TEST(EventLoop, CacheCountersReportRunDeltas)
     EXPECT_EQ(warm.cacheHits, 24);
     EXPECT_NE(warm.render().find("model cache"), std::string::npos);
 }
+
+TEST(EventLoop, FiniteTraceRejectsIdsOutsideTheHorizon)
+{
+    // An id indexes the per-request latency vectors: one past the
+    // trace would write out of bounds.
+    auto trace = generateTrace(test::serveTraceConfig(4));
+    trace[2].id = 4;
+    EventLoop loop(pim::PimConfig{}, power::defaultCalibration(),
+                   compatConfig(SchedPolicy::Fcfs, 1));
+    EXPECT_DEATH(loop.run(test::sharedCache(), trace), "dense in");
+}
+
+TEST(EventLoop, FiniteTraceRejectsUnsortedArrivals)
+{
+    // Out-of-order arrivals would run simulated time backwards.
+    auto trace = generateTrace(test::serveTraceConfig(4));
+    std::swap(trace[1].arrivalUs, trace[2].arrivalUs);
+    ASSERT_LT(trace[2].arrivalUs, trace[1].arrivalUs);
+    EventLoop loop(pim::PimConfig{}, power::defaultCalibration(),
+                   compatConfig(SchedPolicy::Fcfs, 1));
+    EXPECT_DEATH(loop.run(test::sharedCache(), trace),
+                 "sorted by arrival");
+}
