@@ -14,7 +14,7 @@
  *      model switches and effective TOPS.
  *  (c) parallel scaling -- the same warm serve at 1 host thread vs
  *      --threads N (default 8).  Chip executions are pure functions
- *      of (artifact, seed), so the N-thread ServeReport is verified
+ *      of (artifact, seed), so the N-thread StreamReport is verified
  *      bit-identical to serial while host wall clock drops; the
  *      headline is the speedup (threshold 3x at 8 threads on a
  *      multi-core runner).
@@ -40,7 +40,7 @@
 
 #include "BenchCommon.hh"
 #include "exec/ExecPool.hh"
-#include "serve/Fleet.hh"
+#include "stream/EventLoop.hh"
 
 using namespace aim;
 using namespace aim::bench;
@@ -83,7 +83,8 @@ main(int argc, char **argv)
     if (smoke)
         opts.useLhr = false; // skip QAT: CI-bounded compiles
 
-    serve::TraceConfig tcfg;
+    stream::StreamConfig scfg;
+    serve::TraceConfig &tcfg = scfg.trace;
     tcfg.arrivals = serve::ArrivalKind::Poisson;
     tcfg.meanRatePerSec = 6000.0;
     tcfg.requests = smoke ? 12 : 24;
@@ -91,10 +92,9 @@ main(int argc, char **argv)
     tcfg.mix = {{"ResNet18", 0.5, 2000.0},
                 {"GPT2", 0.25, 8000.0},
                 {"ViT", 0.25, 5000.0}};
-    const auto trace = serve::generateTrace(tcfg);
 
     serve::ModelCache cache(pipeline);
-    serve::FleetConfig fcfg;
+    serve::FleetConfig &fcfg = scfg.fleet;
     fcfg.chips = 3;
     fcfg.options = opts;
     fcfg.policy = serve::SchedPolicy::Fcfs;
@@ -102,6 +102,7 @@ main(int argc, char **argv)
     if (!smoke) {
         // ---- (a) cold: compile-per-request on a trace sample ------
         const long cold_sample = 6;
+        const auto trace = serve::generateTrace(tcfg);
         serve::ModelCache cold_cache(pipeline);
         const auto cold_start = Clock::now();
         for (long i = 0; i < cold_sample; ++i) {
@@ -116,8 +117,7 @@ main(int argc, char **argv)
 
         // ---- warm: cache shared across the whole trace ------------
         const auto warm_start = Clock::now();
-        serve::Fleet warm_fleet(chip, cal, fcfg);
-        warm_fleet.serve(trace, cache);
+        stream::EventLoop(chip, cal, scfg).run(cache);
         const double warm_s = secondsSince(warm_start);
         const double warm_rps = trace.size() / warm_s;
 
@@ -152,8 +152,7 @@ main(int argc, char **argv)
                      "SLO viol", "switches", "eff TOPS"});
     for (const auto policy : serve::allPolicies()) {
         fcfg.policy = policy;
-        serve::Fleet fleet(chip, cal, fcfg);
-        const auto rep = fleet.serve(trace, cache);
+        const auto rep = stream::EventLoop(chip, cal, scfg).run(cache);
         sweep.addRow({policyName(policy),
                       util::Table::fmt(rep.p50Us, 1),
                       util::Table::fmt(rep.p95Us, 1),
@@ -168,8 +167,7 @@ main(int argc, char **argv)
         // of the CI-bounded smoke run.
         fcfg.policy = serve::SchedPolicy::Fcfs;
         fcfg.options.irBackend = power::IrBackendKind::Transient;
-        serve::Fleet fleet(chip, cal, fcfg);
-        const auto rep = fleet.serve(trace, cache);
+        const auto rep = stream::EventLoop(chip, cal, scfg).run(cache);
         sweep.addRow({"fcfs (transient)",
                       util::Table::fmt(rep.p50Us, 1),
                       util::Table::fmt(rep.p95Us, 1),
@@ -183,24 +181,25 @@ main(int argc, char **argv)
 
     if (!smoke) {
         // ---- (c) parallel scaling: serial vs --threads N ----------
-        serve::TraceConfig scale_cfg = tcfg;
-        scale_cfg.requests = 48;
-        scale_cfg.seed = 3307;
-        const auto scale_trace = serve::generateTrace(scale_cfg);
+        // A warm cache: (a) compiled every model of the mix, so
+        // both runs render the same cache counters.
+        stream::StreamConfig scale = scfg;
+        scale.trace.requests = 48;
+        scale.trace.seed = 3307;
+        const auto scale_requests =
+            static_cast<double>(scale.trace.requests);
 
-        fcfg.policy = serve::SchedPolicy::Fcfs;
-        fcfg.threads = 1;
-        serve::Fleet serial_fleet(chip, cal, fcfg);
+        scale.fleet.policy = serve::SchedPolicy::Fcfs;
+        scale.fleet.threads = 1;
         const auto serial_start = Clock::now();
         const auto serial_rep =
-            serial_fleet.serve(scale_trace, cache);
+            stream::EventLoop(chip, cal, scale).run(cache);
         const double serial_s = secondsSince(serial_start);
 
-        fcfg.threads = threads;
-        serve::Fleet parallel_fleet(chip, cal, fcfg);
+        scale.fleet.threads = threads;
         const auto parallel_start = Clock::now();
         const auto parallel_rep =
-            parallel_fleet.serve(scale_trace, cache);
+            stream::EventLoop(chip, cal, scale).run(cache);
         const double parallel_s = secondsSince(parallel_start);
 
         bool identical =
@@ -218,12 +217,12 @@ main(int argc, char **argv)
             {"threads", "time s", "req/s", "speedup", "identical"});
         scaling.addRow({"1", util::Table::fmt(serial_s, 2),
                         util::Table::fmt(
-                            scale_trace.size() / serial_s, 2),
+                            scale_requests / serial_s, 2),
                         "1.00", "-"});
         scaling.addRow({std::to_string(threads),
                         util::Table::fmt(parallel_s, 2),
                         util::Table::fmt(
-                            scale_trace.size() / parallel_s, 2),
+                            scale_requests / parallel_s, 2),
                         util::Table::fmt(speedup, 2),
                         identical ? "yes" : "NO"});
         scaling.print();
@@ -255,26 +254,20 @@ main(int argc, char **argv)
     // budget (macros the model no longer touches near the end) and
     // the dispatcher hides that much of the next reload under the
     // trailing compute.  Physics is bit-identical either way.
-    serve::TraceConfig isa_cfg;
-    isa_cfg.arrivals = serve::ArrivalKind::Poisson;
-    isa_cfg.meanRatePerSec = 6000.0;
-    isa_cfg.requests = smoke ? 12 : 24;
-    isa_cfg.seed = 4421;
-    isa_cfg.mix = {{"ResNet18", 1.0, 4000.0},
-                   {"MobileNetV2", 1.0, 4000.0}};
-    const auto isa_trace = serve::generateTrace(isa_cfg);
-
-    serve::FleetConfig icfg;
-    icfg.chips = 1;
-    icfg.options = opts;
-    serve::Fleet flat_fleet(chip, cal, icfg);
-    const auto flat_rep = flat_fleet.serve(isa_trace, cache);
-    icfg.options.useIsa = true;
-    serve::Fleet isa_fleet(chip, cal, icfg);
-    const auto isa_rep = isa_fleet.serve(isa_trace, cache);
-    icfg.options.isaSchedule = true;
-    serve::Fleet sched_fleet(chip, cal, icfg);
-    const auto sched_rep = sched_fleet.serve(isa_trace, cache);
+    stream::StreamConfig icfg;
+    icfg.trace.arrivals = serve::ArrivalKind::Poisson;
+    icfg.trace.meanRatePerSec = 6000.0;
+    icfg.trace.requests = smoke ? 12 : 24;
+    icfg.trace.seed = 4421;
+    icfg.trace.mix = {{"ResNet18", 1.0, 4000.0},
+                      {"MobileNetV2", 1.0, 4000.0}};
+    icfg.fleet.chips = 1;
+    icfg.fleet.options = opts;
+    const auto flat_rep = stream::EventLoop(chip, cal, icfg).run(cache);
+    icfg.fleet.options.useIsa = true;
+    const auto isa_rep = stream::EventLoop(chip, cal, icfg).run(cache);
+    icfg.fleet.options.isaSchedule = true;
+    const auto sched_rep = stream::EventLoop(chip, cal, icfg).run(cache);
 
     const double flat_reload = flat_rep.chips[0].reloadUs;
     const double isa_reload = isa_rep.chips[0].reloadUs;

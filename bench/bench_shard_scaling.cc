@@ -9,10 +9,11 @@
  *      4 and 8 chips: stage/TP shape, per-request pipeline makespan,
  *      effective TOPS, pipeline-bubble fraction, interconnect
  *      overhead fraction and compute imbalance.
- *  (b) fleet gang serving -- an 8-chip serve::Fleet with a 4-chip
- *      gang rule for Llama3-8B serves a mixed 8B + ResNet18 trace
- *      end-to-end through the ModelCache (sharded artifacts cached
- *      like any other), demonstrating chip-group dispatch.
+ *  (b) fleet gang serving -- an 8-chip fleet on stream::EventLoop
+ *      with a 4-chip gang rule for Llama3-8B serves a mixed 8B +
+ *      ResNet18 trace end-to-end through the ModelCache (sharded
+ *      artifacts cached like any other), demonstrating chip-group
+ *      dispatch.
  *
  * Usage: bench_shard_scaling [--threads N] [--smoke]
  * --smoke trims the sweep (1 and 4 chips, 2 micro-batches, fewer
@@ -23,8 +24,8 @@
 
 #include "BenchCommon.hh"
 #include "exec/ExecPool.hh"
-#include "serve/Fleet.hh"
 #include "shard/ShardedRuntime.hh"
+#include "stream/EventLoop.hh"
 
 using namespace aim;
 using namespace aim::bench;
@@ -113,7 +114,8 @@ main(int argc, char **argv)
     // ---- (b) fleet gang serving end-to-end ------------------------
     const int fleetChips = smoke ? 5 : 8;
     const int gangChips = 4;
-    serve::FleetConfig fcfg;
+    stream::StreamConfig serving;
+    serve::FleetConfig &fcfg = serving.fleet;
     fcfg.chips = fleetChips;
     fcfg.policy = serve::SchedPolicy::Fcfs;
     fcfg.options = opts;
@@ -123,22 +125,20 @@ main(int argc, char **argv)
     gang.partition.chips = gangChips;
     gang.microBatches = scfg.microBatches;
     fcfg.gangs = {gang};
-    serve::Fleet fleet(chip, cal, fcfg);
     serve::ModelCache cache(pipeline);
 
-    serve::TraceConfig tcfg;
+    serve::TraceConfig &tcfg = serving.trace;
     tcfg.arrivals = serve::ArrivalKind::Poisson;
     tcfg.meanRatePerSec = 400.0;
     tcfg.requests = smoke ? 6 : 16;
     tcfg.seed = 515;
     tcfg.mix = {{model.name, 0.5, 0.0}, {"ResNet18", 0.5, 2000.0}};
-    const auto trace = serve::generateTrace(tcfg);
 
     std::printf("\nfleet: %d chips, %d-chip gang for %s, %ld-request "
                 "mixed trace\n",
                 fleetChips, gangChips, model.name.c_str(),
-                static_cast<long>(trace.size()));
-    const auto rep = fleet.serve(trace, cache);
+                tcfg.requests);
+    const auto rep = stream::EventLoop(chip, cal, serving).run(cache);
     std::printf("%s\n", rep.render().c_str());
     std::printf("model cache: %ld misses, %ld hits, %ld artifacts "
                 "(sharded artifacts cached alongside plain)\n",

@@ -17,7 +17,7 @@
 #include <cstdlib>
 
 #include "exec/ExecPool.hh"
-#include "serve/Fleet.hh"
+#include "stream/EventLoop.hh"
 
 int
 main(int argc, char **argv)
@@ -34,7 +34,8 @@ main(int argc, char **argv)
     auto small = serve::smallSku();
     small.weightBufMweightPerMacro = 4.0;
 
-    serve::FleetConfig fcfg;
+    stream::StreamConfig scfg;
+    serve::FleetConfig &fcfg = scfg.fleet;
     fcfg.chips = 4;
     fcfg.skus = {serve::bigSku(), small};
     fcfg.skuOf = {0, 0, 1, 1}; // chips 0-1 big, 2-3 small
@@ -49,7 +50,7 @@ main(int argc, char **argv)
     gang.microBatches = 2;
     fcfg.gangs = {gang};
 
-    serve::TraceConfig tcfg;
+    serve::TraceConfig &tcfg = scfg.trace;
     tcfg.arrivals = serve::ArrivalKind::Poisson;
     tcfg.meanRatePerSec = 4000.0;
     tcfg.requests = requests;
@@ -57,7 +58,6 @@ main(int argc, char **argv)
     tcfg.mix = {{"GPT2", 0.4, 8000.0},
                 {"ResNet18", 0.3, 4000.0},
                 {"MobileNetV2", 0.3, 2000.0}};
-    const auto trace = serve::generateTrace(tcfg);
 
     std::printf("fleet: 2x big (2048 Mweight) + 2x small (64 "
                 "Mweight); GPT-2 fits big only\n\n");
@@ -67,8 +67,7 @@ main(int argc, char **argv)
     AimPipeline pipeline(chip, cal);
     serve::ModelCache cache(pipeline);
 
-    serve::Fleet fleet(chip, cal, fcfg);
-    const auto rep = fleet.serve(trace, cache);
+    const auto rep = stream::EventLoop(chip, cal, scfg).run(cache);
     std::printf("%s\n", rep.render().c_str());
     std::printf("placement violations: %ld (capability-aware "
                 "dispatch keeps this 0)\n",

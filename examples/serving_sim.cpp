@@ -22,7 +22,7 @@
 #include <cstring>
 
 #include "exec/ExecPool.hh"
-#include "serve/Fleet.hh"
+#include "stream/EventLoop.hh"
 
 int
 main(int argc, char **argv)
@@ -55,30 +55,27 @@ main(int argc, char **argv)
     AimPipeline pipeline(chip, cal);
     serve::ModelCache cache(pipeline);
 
-    serve::TraceConfig tcfg;
-    tcfg.arrivals = arrivals;
-    tcfg.meanRatePerSec = rate_rps;
-    tcfg.requests = requests;
-    tcfg.seed = 4242;
-    tcfg.mix = {{"ResNet18", 0.5, 2000.0},
-                {"GPT2", 0.25, 8000.0},
-                {"ViT", 0.25, 5000.0}};
-    const auto trace = serve::generateTrace(tcfg);
+    stream::StreamConfig scfg;
+    scfg.trace.arrivals = arrivals;
+    scfg.trace.meanRatePerSec = rate_rps;
+    scfg.trace.requests = requests;
+    scfg.trace.seed = 4242;
+    scfg.trace.mix = {{"ResNet18", 0.5, 2000.0},
+                      {"GPT2", 0.25, 8000.0},
+                      {"ViT", 0.25, 5000.0}};
     std::printf("trace: %ld requests, %s %.0f req/s, mix "
                 "ResNet18/GPT2/ViT = 50/25/25, %d host thread%s\n\n",
                 requests, serve::arrivalName(arrivals), rate_rps,
                 threads, threads == 1 ? "" : "s");
 
-    serve::FleetConfig fcfg;
-    fcfg.chips = 3;
-    fcfg.options.workScale = 0.02;
-    fcfg.seed = 17;
-    fcfg.threads = threads;
+    scfg.fleet.chips = 3;
+    scfg.fleet.options.workScale = 0.02;
+    scfg.fleet.seed = 17;
+    scfg.fleet.threads = threads;
 
     for (const auto policy : serve::allPolicies()) {
-        fcfg.policy = policy;
-        serve::Fleet fleet(chip, cal, fcfg);
-        const auto report = fleet.serve(trace, cache);
+        scfg.fleet.policy = policy;
+        const auto report = stream::EventLoop(chip, cal, scfg).run(cache);
         std::printf("%s\n", report.render().c_str());
     }
 

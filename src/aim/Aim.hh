@@ -105,7 +105,7 @@ struct AimOptions
      * bit-identical to the in-order path -- only the cost-modelled
      * makespan (and the serving-layer service time derived from it)
      * moves; the saved difference is reported per request
-     * (ServeReport/StreamReport::scheduleSavedUs).
+     * (StreamReport::scheduleSavedUs).
      */
     bool isaSchedule = false;
     /**

@@ -23,7 +23,7 @@
  *
  * threads == 1 never spawns: everything runs inline on the calling
  * thread, which is the reference serial schedule that N-thread runs
- * are tested against (tests/serve/FleetParallelTest).
+ * are tested against (tests/serve/ServeGoldenTest).
  *
  * A parallelFor() issued from one of the pool's own workers runs its
  * items inline on that worker, in index order, exactly like the

@@ -86,8 +86,8 @@ struct ChipSku
 };
 
 /** The stock 64-macro part the paper models (capacity 2048 Mweight,
- * unit price).  Fleet behavior on an all-big fleet is bit-identical
- * to a SKU-less fleet. */
+ * unit price).  Serving on an all-big fleet is bit-identical to a
+ * SKU-less fleet. */
 ChipSku bigSku();
 
 /** A quarter-size bin: 16 macros / 512 Mweight, quarter peak TOPS,

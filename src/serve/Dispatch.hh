@@ -1,8 +1,7 @@
 /**
  * @file
  * Chip bookkeeping, serving-cost model and request annotation of the
- * serving engine (stream/EventLoop, which serve::Fleet runs on for
- * finite traces):
+ * serving engine (stream/EventLoop):
  *
  *   FleetSkus       -- the fleet's SKU classes; a SKU-less fleet is
  *                      one class of unbounded capacity, so every

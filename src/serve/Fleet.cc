@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "stream/EventLoop.hh"
 #include "util/Logging.hh"
 #include "workload/ModelZoo.hh"
 
@@ -113,68 +112,6 @@ validateFleetConfig(const FleetConfig &fcfg)
                 gang.microBatches);
     }
     return {};
-}
-
-Fleet::Fleet(const pim::PimConfig &cfg, const power::Calibration &cal,
-             const FleetConfig &fcfg)
-    : cfg(cfg), cal(cal), fcfg(fcfg)
-{
-    const std::string problem = validateFleetConfig(fcfg);
-    if (!problem.empty())
-        aim_fatal("invalid FleetConfig: ", problem);
-    // Resolve the "derive" sentinel: the fleet's whole-model reload
-    // pricing is the single source of truth for the instruction-grain
-    // costs (see FleetConfig::reloadUsPerMweight).
-    if (this->fcfg.options.isaLoadUsPerMword < 0.0)
-        this->fcfg.options.isaLoadUsPerMword =
-            this->fcfg.reloadUsPerMweight;
-    if (this->fcfg.options.isaRetuneUs < 0.0)
-        this->fcfg.options.isaRetuneUs = this->fcfg.retuneUsPerStep;
-}
-
-ServeReport
-Fleet::serve(const std::vector<Request> &trace, ModelCache &cache)
-{
-    ServeReport rep;
-    rep.policy = fcfg.policy;
-    rep.backend = fcfg.options.irBackend;
-    rep.isa = fcfg.options.useIsa;
-    rep.chips.resize(fcfg.chips);
-    if (trace.empty())
-        return rep;
-    const auto n = static_cast<long>(trace.size());
-
-    // Control off: no autoscaler, unbounded admission, no batching,
-    // exact service.  The loop serves `trace` itself; its generator
-    // config is never read and only has to validate.
-    stream::StreamConfig scfg;
-    scfg.fleet = fcfg;
-    scfg.trace.mix = {{trace.front().model}};
-    stream::StreamReport s =
-        stream::EventLoop(cfg, cal, scfg).run(cache, trace);
-    aim_assert(s.requests == n, "served ", s.requests, " of ", n,
-               " requests");
-
-    rep.reloadOverlapSavedUs = s.reloadOverlapSavedUs;
-    rep.scheduleSavedUs = s.scheduleSavedUs;
-    rep.requests = s.requests;
-    rep.makespanUs = s.makespanUs;
-    rep.latencyUs = std::move(s.latencyUs);
-    rep.queueUs = std::move(s.queueUs);
-    rep.sloViolations = s.sloViolations;
-    rep.totalMacs = s.totalMacs;
-    rep.irFailures = s.irFailures;
-    rep.stallWindows = s.stallWindows;
-    rep.gangDispatches = s.gangDispatches;
-    rep.placementViolations = s.placementViolations;
-    rep.cacheHits = s.cacheHits;
-    rep.cacheMisses = s.cacheMisses;
-    rep.cacheEvictions = s.cacheEvictions;
-    rep.chips = std::move(s.chips);
-    rep.p50Us = s.p50Us;
-    rep.p95Us = s.p95Us;
-    rep.p99Us = s.p99Us;
-    return rep;
 }
 
 } // namespace aim::serve

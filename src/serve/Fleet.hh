@@ -1,13 +1,10 @@
 /**
  * @file
- * Multi-chip serving fleet: a chip-exclusive queueing simulation
- * over N instances of the modelled AIM chip.  Every request executes
- * its cached CompiledModel through sim::Runtime (or the ISA engine)
- * with a per-request noise seed, so service times carry the real
- * IR-drop / booster dynamics of the chip model rather than a fitted
- * constant.
- *
- * Two serving-specific costs sit on top of the chip model:
+ * Fleet shape of the serving engine (stream::EventLoop): how many
+ * chips of which SKUs, the dispatch policy, the execution options,
+ * the models served sharded across chip gangs, and the calibration
+ * of the two serving-specific costs that sit on top of the chip
+ * model:
  *
  *   weight reload -- switching a chip's resident model rewrites every
  *       macro's SRAM-resident weights; the cost scales with the
@@ -19,20 +16,10 @@
  * The IR-aware scheduler exists to dodge exactly these two costs.
  *
  * workScale extrapolation: compiled artifacts simulate a fraction of
- * each inference (AimOptions::workScale); the fleet scales measured
+ * each inference (AimOptions::workScale); the engine scales measured
  * wall times and MAC counts back to full-inference magnitudes so
- * latencies, SLOs and TOPS are in real units.
- *
- * Fleet::serve is the finite-trace adapter of the one serving engine,
- * stream::EventLoop: it runs the loop over the trace with the control
- * plane off (no autoscaler, unbounded admission, no batching, exact
- * service) and copies the report; the loop checks the trace.  Each
- * request executes once, on FleetConfig::threads host workers: ahead
- * of dispatch when its landing SKU class is certain (gangs, and
- * requests one class alone can host), else at dispatch with its
- * rounds on the workers.  Every request's report is a pure function
- * of its (artifact, SKU class, id-derived seed), so the ServeReport
- * is bit-identical at any thread count.
+ * latencies, SLOs and TOPS are in real units.  ChipUsage is where
+ * each chip's makespan went in a served run.
  */
 
 #ifndef AIM_SERVE_FLEET_HH
@@ -43,11 +30,9 @@
 
 #include "aim/Aim.hh"
 #include "serve/ChipSku.hh"
-#include "serve/ModelCache.hh"
 #include "serve/Scheduler.hh"
-#include "serve/ServeReport.hh"
+#include "shard/Interconnect.hh"
 #include "shard/Partitioner.hh"
-#include "shard/ShardedRuntime.hh"
 
 namespace aim::serve
 {
@@ -76,8 +61,8 @@ struct GangSpec
  * it keys the ModelCache artifacts the fleet requests (so two fleets
  * with different options never share artifacts) and, via
  * runConfigFor(), configures the per-chip runtimes that execute
- * them.  The fleet never compiles -- artifacts always come from the
- * caller's ModelCache.
+ * them.  The serving engine never compiles on its own -- artifacts
+ * always come from the caller's ModelCache.
  */
 struct FleetConfig
 {
@@ -143,49 +128,31 @@ struct FleetConfig
  *         size/range mismatch, duplicate SKU names), or -- on a
  *         heterogeneous fleet -- a gang whose size exceeds the
  *         number of chips *capable* of holding its per-member weight
- *         share.  The Fleet constructor calls this and aim_fatal on
- *         a non-empty result.
+ *         share.  The stream::EventLoop constructor calls this (via
+ *         stream::validateStreamConfig) and aim_fatal on a
+ *         non-empty result.
  */
 std::string validateFleetConfig(const FleetConfig &fcfg);
 
-/** Simulates serving a request trace on a fleet of AIM chips. */
-class Fleet
+/** Where one chip's makespan went. */
+struct ChipUsage
 {
-  public:
-    /**
-     * Fatal on an invalid @p fcfg.  The stored config resolves the
-     * negative "derive" sentinel of options.isaLoadUsPerMword /
-     * isaRetuneUs from reloadUsPerMweight / retuneUsPerStep (see
-     * FleetConfig::reloadUsPerMweight); config() returns the
-     * resolved values.  On a heterogeneous fleet (fcfg.skus set)
-     * @p cfg and @p cal are ignored in favour of the per-chip SKUs.
-     */
-    Fleet(const pim::PimConfig &cfg, const power::Calibration &cal,
-          const FleetConfig &fcfg);
+    /** Requests this chip served. */
+    long served = 0;
+    /** Time spent executing inferences [us]. */
+    double busyUs = 0.0;
+    /** Time spent reloading macro weights on model switches [us]. */
+    double reloadUs = 0.0;
+    /** Time spent retuning the IR-Booster across levels [us]. */
+    double retuneUs = 0.0;
+    /** Model switches (each implies a full weight reload). */
+    long modelSwitches = 0;
 
-    /**
-     * Serve a trace to completion (non-preemptive, chip-exclusive)
-     * on stream::EventLoop.  Artifacts come from @p cache, compiled
-     * on first use; ids must be dense in [0, N) and the trace sorted
-     * by arrival time (generateTrace output is; the loop checks
-     * both).  Chip executions run on FleetConfig::threads host
-     * workers; the returned report is bit-identical at any thread
-     * count.
-     *
-     * Requests for a FleetConfig::gangs model execute sharded: the
-     * fleet acquires the gang's chips atomically (start waits for
-     * all members to free up), charges per-chip stage reloads and
-     * retunes, and holds every member for the pipeline makespan.
-     */
-    ServeReport serve(const std::vector<Request> &trace,
-                      ModelCache &cache);
-
-    const FleetConfig &config() const { return fcfg; }
-
-  private:
-    pim::PimConfig cfg;
-    power::Calibration cal;
-    FleetConfig fcfg;
+    /** Fraction of the makespan doing useful inference work. */
+    double utilization(double makespanUs) const
+    {
+        return makespanUs > 0.0 ? busyUs / makespanUs : 0.0;
+    }
 };
 
 } // namespace aim::serve

@@ -191,7 +191,7 @@ class Runtime
      * of (rounds, stream, seed) and the construction-time config --
      * neither the calling thread nor the interleaving of concurrent
      * runs can change it, which is what lets exec::ExecPool
-     * parallelize fleet serving bit-identically (src/serve/Fleet).
+     * parallelize fleet serving bit-identically (src/stream/EventLoop).
      */
     RunReport run(const std::vector<Round> &rounds,
                   const pim::StreamSpec &stream,

@@ -123,9 +123,6 @@ validateStreamConfig(const StreamConfig &scfg)
     const std::string fleet = serve::validateFleetConfig(scfg.fleet);
     if (!fleet.empty())
         return util::detail::concat("fleet: ", fleet);
-    const std::string trace = serve::validateTraceConfig(scfg.trace);
-    if (!trace.empty())
-        return util::detail::concat("trace: ", trace);
     const std::string scaler =
         validateAutoscalerConfig(scfg.autoscaler);
     if (!scaler.empty())
@@ -751,14 +748,15 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                 sorted.push_back(l);
                 sum += l;
             }
-        std::sort(sorted.begin(), sorted.end());
-        rep.p50Us = util::percentileSorted(sorted, 50.0);
-        rep.p95Us = util::percentileSorted(sorted, 95.0);
-        rep.p99Us = util::percentileSorted(sorted, 99.0);
-        rep.meanUs =
-            sorted.empty()
-                ? 0.0
-                : sum / static_cast<double>(sorted.size());
+        // Nothing completed: the percentiles stay 0, as the
+        // histogram digest reports them.
+        if (!sorted.empty()) {
+            std::sort(sorted.begin(), sorted.end());
+            rep.p50Us = util::percentileSorted(sorted, 50.0);
+            rep.p95Us = util::percentileSorted(sorted, 95.0);
+            rep.p99Us = util::percentileSorted(sorted, 99.0);
+            rep.meanUs = sum / static_cast<double>(sorted.size());
+        }
         rep.latencyUs = std::move(exact_lat);
         rep.queueUs = std::move(exact_queue);
     }

@@ -2,9 +2,10 @@
  * @file
  * The serving engine: a discrete-event loop over a request source.
  *
- * It serves an endless lazy TraceSource stream, or a finite,
- * materialized trace (serve::Fleet::serve is the finite-trace
- * adapter over the second form).  Time advances through a
+ * It serves a lazy TraceSource stream built from
+ * StreamConfig::trace (run(cache)), or a finite, materialized trace
+ * (run(cache, trace), for hand-edited traces).  Both yield the same
+ * report bits on the same requests.  Time advances through a
  * time-ordered event heap of three event kinds:
  *
  *   Arrival     -- the source's next request reaches the front door;
@@ -83,7 +84,11 @@ struct StreamConfig
 {
     /** Fleet shape, policy, execution options, seed, threads. */
     serve::FleetConfig fleet;
-    /** Arrival process of the lazy source. */
+    /**
+     * Arrival process of the lazy source.  Only run(cache) reads it,
+     * and the TraceSource it builds rejects a bad config; the
+     * finite-trace run ignores it.
+     */
     serve::TraceConfig trace;
     /**
      * Requests to stream before the source closes; 0 falls back to
@@ -102,10 +107,10 @@ struct StreamConfig
     bool batching = false;
     int maxBatch = 4;
     /**
-     * 0 = exact service (every request executes on the chip model;
-     * what serve::Fleet runs).  K > 0 = sampled service: per model
-     * and SKU class, K id-seeded RunReports are executed once and
-     * each request draws one by its request seed.
+     * 0 = exact service (every request executes on the chip model).
+     * K > 0 = sampled service: per model and SKU class, K id-seeded
+     * RunReports are executed once and each request draws one by its
+     * request seed.
      */
     long serviceSamples = 0;
     /**
@@ -123,7 +128,10 @@ struct StreamConfig
     bool transientCarry = false;
 };
 
-/** Empty when valid, else the first problem. */
+/**
+ * Empty when valid, else the first problem.  StreamConfig::trace is
+ * not checked here: TraceSource checks it where run(cache) reads it.
+ */
 std::string validateStreamConfig(const StreamConfig &scfg);
 
 /** The streaming serving engine.  One instance per run. */

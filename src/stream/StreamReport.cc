@@ -54,6 +54,24 @@ StreamReport::throughputRps() const
     return makespanUs > 0.0 ? requests / (makespanUs / 1e6) : 0.0;
 }
 
+double
+StreamReport::aggregateTops() const
+{
+    if (makespanUs <= 0.0)
+        return 0.0;
+    // ops/s = 2 * macs / (makespanUs / 1e6); TOPS divides by 1e12.
+    return 2.0 * totalMacs / makespanUs / 1e6;
+}
+
+long
+StreamReport::totalModelSwitches() const
+{
+    long switches = 0;
+    for (const auto &c : chips)
+        switches += c.modelSwitches;
+    return switches;
+}
+
 std::string
 StreamReport::render() const
 {
@@ -74,9 +92,11 @@ StreamReport::render() const
                   p50Us, p95Us, p99Us, meanUs);
     os << line;
     std::snprintf(line, sizeof(line),
-                  "SLO violations %ld/%ld  IRFailures %ld  stall "
+                  "SLO violations %ld/%ld  model switches %ld  "
+                  "effective TOPS %.1f  IRFailures %ld  stall "
                   "windows %ld\n",
-                  sloViolations, requests, irFailures, stallWindows);
+                  sloViolations, requests, totalModelSwitches(),
+                  aggregateTops(), irFailures, stallWindows);
     os << line;
     std::snprintf(line, sizeof(line),
                   "control  scale-ups %ld  scale-downs %ld  gang "

@@ -6,8 +6,8 @@
  *
  * Latency lives in one of two digests, chosen by the engine's
  * config.  Exact mode keeps per-request latency/queue vectors
- * indexed by request id -- what the finite-horizon equivalence
- * tests compare bit-for-bit against serve::ServeReport.  Histogram
+ * indexed by request id -- what the report goldens
+ * (tests/serve/ServeGoldenTest) hash bit for bit.  Histogram
  * mode folds every completion into fixed log-spaced buckets, so a
  * day-long stream of millions of requests reports percentiles in
  * O(1) memory (the bench's bounded-RSS requirement); percentiles
@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "power/IrBackend.hh"
+#include "serve/Fleet.hh"
 #include "serve/Scheduler.hh"
-#include "serve/ServeReport.hh"
 
 namespace aim::stream
 {
@@ -155,6 +155,12 @@ struct StreamReport
 
     /** Completions per second of makespan. */
     double throughputRps() const;
+
+    /** Aggregate effective throughput over the makespan [TOPS]. */
+    double aggregateTops() const;
+
+    /** Model switches summed over chips. */
+    long totalModelSwitches() const;
 
     /** Human-readable summary (headline lines + tables). */
     std::string render() const;

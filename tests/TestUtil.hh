@@ -2,7 +2,8 @@
  * @file
  * Shared fixtures of the test suites: the zoo-model/options/run-config
  * boilerplate that tests/sim and tests/serve suites previously each
- * carried a private copy of.
+ * carried a private copy of, and the serving suites' finite-trace
+ * serve and report comparison.
  *
  * Determinism note: several suites (tests/sim/BackendGoldenTest) pin
  * bit-exact golden numbers to the rounds and streams these helpers
@@ -13,8 +14,10 @@
 #ifndef AIM_TESTS_TESTUTIL_HH
 #define AIM_TESTS_TESTUTIL_HH
 
-#include "serve/Fleet.hh"
+#include <gtest/gtest.h>
+
 #include "sim/Runtime.hh"
+#include "stream/EventLoop.hh"
 
 namespace aim::test
 {
@@ -157,6 +160,85 @@ serveTrace(long requests = 24,
 {
     return generateTrace(
         serveTraceConfig(requests, arrivals, slo_us));
+}
+
+/**
+ * Serve the finite @p trace on @p fleet through the serving engine's
+ * finite-trace entry (control plane off, exact service), on the
+ * default chip and the shared cache.
+ */
+inline stream::StreamReport
+serveFleet(const serve::FleetConfig &fleet,
+           const std::vector<serve::Request> &trace)
+{
+    stream::StreamConfig scfg;
+    scfg.fleet = fleet;
+    return stream::EventLoop(pim::PimConfig{},
+                             power::defaultCalibration(), scfg)
+        .run(sharedCache(), trace);
+}
+
+/**
+ * Field-by-field bit-identity of two serve reports: every field
+ * render() prints, the per-request digests and the control
+ * trajectory.  The cache counters are left out -- they are deltas of
+ * the process-wide cache, so they depend on which tests ran first.
+ */
+inline void
+expectSameReport(const stream::StreamReport &a,
+                 const stream::StreamReport &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.backend, b.backend);
+    EXPECT_EQ(a.isa, b.isa);
+    EXPECT_EQ(a.reloadOverlapSavedUs, b.reloadOverlapSavedUs);
+    EXPECT_EQ(a.scheduleSavedUs, b.scheduleSavedUs);
+    EXPECT_EQ(a.arrivals, b.arrivals);
+    EXPECT_EQ(a.admitted, b.admitted);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.makespanUs, b.makespanUs);
+    EXPECT_EQ(a.sloViolations, b.sloViolations);
+    EXPECT_EQ(a.totalMacs, b.totalMacs);
+    EXPECT_EQ(a.irFailures, b.irFailures);
+    EXPECT_EQ(a.stallWindows, b.stallWindows);
+    EXPECT_EQ(a.gangDispatches, b.gangDispatches);
+    EXPECT_EQ(a.placementViolations, b.placementViolations);
+    EXPECT_EQ(a.gangReactivations, b.gangReactivations);
+    EXPECT_EQ(a.batchedRequests, b.batchedRequests);
+    EXPECT_EQ(a.scaleUps, b.scaleUps);
+    EXPECT_EQ(a.scaleDowns, b.scaleDowns);
+    EXPECT_EQ(a.p50Us, b.p50Us);
+    EXPECT_EQ(a.p95Us, b.p95Us);
+    EXPECT_EQ(a.p99Us, b.p99Us);
+    EXPECT_EQ(a.meanUs, b.meanUs);
+    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
+    ASSERT_EQ(a.queueUs.size(), b.queueUs.size());
+    for (size_t i = 0; i < a.latencyUs.size(); ++i) {
+        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
+        EXPECT_EQ(a.queueUs[i], b.queueUs[i]) << "request " << i;
+    }
+    ASSERT_EQ(a.chips.size(), b.chips.size());
+    for (size_t c = 0; c < a.chips.size(); ++c) {
+        EXPECT_EQ(a.chips[c].served, b.chips[c].served) << "chip " << c;
+        EXPECT_EQ(a.chips[c].busyUs, b.chips[c].busyUs) << "chip " << c;
+        EXPECT_EQ(a.chips[c].reloadUs, b.chips[c].reloadUs)
+            << "chip " << c;
+        EXPECT_EQ(a.chips[c].retuneUs, b.chips[c].retuneUs)
+            << "chip " << c;
+        EXPECT_EQ(a.chips[c].modelSwitches, b.chips[c].modelSwitches)
+            << "chip " << c;
+    }
+    ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
+    for (size_t t = 0; t < a.trajectory.size(); ++t) {
+        const auto &x = a.trajectory[t];
+        const auto &y = b.trajectory[t];
+        EXPECT_EQ(x.tUs, y.tUs) << "tick " << t;
+        EXPECT_EQ(x.activeChips, y.activeChips) << "tick " << t;
+        EXPECT_EQ(x.windowP99Us, y.windowP99Us) << "tick " << t;
+        EXPECT_EQ(x.queueDepth, y.queueDepth) << "tick " << t;
+        EXPECT_EQ(x.shedRate, y.shedRate) << "tick " << t;
+    }
 }
 
 } // namespace aim::test

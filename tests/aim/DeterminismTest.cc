@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "TestUtil.hh"
 #include "aim/Aim.hh"
-#include "serve/Fleet.hh"
 
 using namespace aim;
 
@@ -70,46 +70,20 @@ TEST(Determinism, ServeSimIsBitIdentical)
     AimPipeline pipe(cfg, cal);
     serve::ModelCache cache(pipe);
 
-    serve::TraceConfig tcfg;
-    tcfg.arrivals = serve::ArrivalKind::Bursty;
-    tcfg.meanRatePerSec = 20000.0;
-    tcfg.requests = 16;
-    tcfg.seed = 31;
-    tcfg.mix = {{"ResNet18", 1.0, 4000.0}};
+    stream::StreamConfig scfg;
+    scfg.trace.arrivals = serve::ArrivalKind::Bursty;
+    scfg.trace.meanRatePerSec = 20000.0;
+    scfg.trace.requests = 16;
+    scfg.trace.seed = 31;
+    scfg.trace.mix = {{"ResNet18", 1.0, 4000.0}};
 
-    serve::FleetConfig fcfg;
-    fcfg.chips = 2;
-    fcfg.policy = serve::SchedPolicy::IrAware;
-    fcfg.options.useLhr = false;
-    fcfg.options.workScale = 0.05;
-    fcfg.options.mapper = mapping::MapperKind::Sequential;
-    fcfg.seed = 77;
+    scfg.fleet.chips = 2;
+    scfg.fleet.policy = serve::SchedPolicy::IrAware;
+    scfg.fleet.options = test::fastServeOptions();
+    scfg.fleet.seed = 77;
 
-    const auto trace_a = serve::generateTrace(tcfg);
-    const auto trace_b = serve::generateTrace(tcfg);
-    serve::Fleet fleet_a(cfg, cal, fcfg);
-    serve::Fleet fleet_b(cfg, cal, fcfg);
-    const auto a = fleet_a.serve(trace_a, cache);
-    const auto b = fleet_b.serve(trace_b, cache);
-
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.irFailures, b.irFailures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.sloViolations, b.sloViolations);
-    EXPECT_EQ(a.p50Us, b.p50Us);
-    EXPECT_EQ(a.p95Us, b.p95Us);
-    EXPECT_EQ(a.p99Us, b.p99Us);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i) {
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]);
-        EXPECT_EQ(a.queueUs[i], b.queueUs[i]);
-    }
-    ASSERT_EQ(a.chips.size(), b.chips.size());
-    for (size_t c = 0; c < a.chips.size(); ++c) {
-        EXPECT_EQ(a.chips[c].served, b.chips[c].served);
-        EXPECT_EQ(a.chips[c].busyUs, b.chips[c].busyUs);
-        EXPECT_EQ(a.chips[c].reloadUs, b.chips[c].reloadUs);
-        EXPECT_EQ(a.chips[c].retuneUs, b.chips[c].retuneUs);
-    }
+    const auto a = stream::EventLoop(cfg, cal, scfg).run(cache);
+    const auto b = stream::EventLoop(cfg, cal, scfg).run(cache);
+    EXPECT_EQ(a.requests, 16);
+    test::expectSameReport(a, b);
 }

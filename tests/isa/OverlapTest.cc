@@ -5,7 +5,7 @@
  * spend it against reloads on model switches (cheaper than the flat
  * round-level path, same physics), and the ISA fleet must stay
  * bit-identical across thread counts (tests/serve/ServeGoldenTest
- * pins its report bits).
+ * pins its report bits).  Both serve on stream::EventLoop.
  */
 
 #include <gtest/gtest.h>
@@ -29,14 +29,9 @@ singleChipFleet(bool use_isa)
 
 TEST(IsaOverlap, SavesReloadOnModelSwitches)
 {
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
     const auto trace = test::serveTrace(24);
-
-    serve::Fleet flat_fleet(cfg, cal, singleChipFleet(false));
-    serve::Fleet isa_fleet(cfg, cal, singleChipFleet(true));
-    const auto flat = flat_fleet.serve(trace, test::sharedCache());
-    const auto isa = isa_fleet.serve(trace, test::sharedCache());
+    const auto flat = test::serveFleet(singleChipFleet(false), trace);
+    const auto isa = test::serveFleet(singleChipFleet(true), trace);
 
     EXPECT_FALSE(flat.isa);
     EXPECT_EQ(flat.reloadOverlapSavedUs, 0.0);
@@ -61,18 +56,13 @@ TEST(IsaOverlap, SavesReloadOnModelSwitches)
 
 TEST(IsaOverlap, ThreadCountBitIdentity)
 {
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
     const auto trace = test::serveTrace(24);
 
     auto fcfg = singleChipFleet(true);
     fcfg.chips = 3;
-    serve::Fleet one(cfg, cal, fcfg);
+    const auto a = test::serveFleet(fcfg, trace);
     fcfg.threads = 4;
-    serve::Fleet four(cfg, cal, fcfg);
-
-    const auto a = one.serve(trace, test::sharedCache());
-    const auto b = four.serve(trace, test::sharedCache());
+    const auto b = test::serveFleet(fcfg, trace);
     EXPECT_EQ(a.makespanUs, b.makespanUs);
     EXPECT_EQ(a.reloadOverlapSavedUs, b.reloadOverlapSavedUs);
     EXPECT_EQ(a.totalMacs, b.totalMacs);

@@ -7,7 +7,7 @@
  * in-order engine across every droop backend, with and without
  * booster/fusion/carry), the scheduled makespan must never exceed
  * the in-order one on any zoo model, and the serving layer must stay
- * bit-identical across Fleet thread counts with scheduling on.
+ * bit-identical across host thread counts with scheduling on.
  */
 
 #include <algorithm>
@@ -341,16 +341,12 @@ scheduledFleet(int chips)
 
 TEST(IsaSchedule, FleetServiceShrinksWithSamePhysics)
 {
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
     const auto trace = test::serveTrace(24);
 
     auto flat_cfg = scheduledFleet(1);
     flat_cfg.options.isaSchedule = false;
-    serve::Fleet flat_fleet(cfg, cal, flat_cfg);
-    serve::Fleet sched_fleet(cfg, cal, scheduledFleet(1));
-    const auto flat = flat_fleet.serve(trace, test::sharedCache());
-    const auto sched = sched_fleet.serve(trace, test::sharedCache());
+    const auto flat = test::serveFleet(flat_cfg, trace);
+    const auto sched = test::serveFleet(scheduledFleet(1), trace);
 
     EXPECT_EQ(flat.scheduleSavedUs, 0.0);
     EXPECT_GT(sched.scheduleSavedUs, 0.0);
@@ -364,17 +360,12 @@ TEST(IsaSchedule, FleetServiceShrinksWithSamePhysics)
 
 TEST(IsaSchedule, FleetThreadCountBitIdentity)
 {
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
     const auto trace = test::serveTrace(24);
 
     auto fcfg = scheduledFleet(3);
-    serve::Fleet one(cfg, cal, fcfg);
+    const auto a = test::serveFleet(fcfg, trace);
     fcfg.threads = 4;
-    serve::Fleet four(cfg, cal, fcfg);
-
-    const auto a = one.serve(trace, test::sharedCache());
-    const auto b = four.serve(trace, test::sharedCache());
+    const auto b = test::serveFleet(fcfg, trace);
     EXPECT_GT(a.scheduleSavedUs, 0.0);
     EXPECT_EQ(a.scheduleSavedUs, b.scheduleSavedUs);
     EXPECT_EQ(a.makespanUs, b.makespanUs);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "serve/Fleet.hh"
+#include "stream/EventLoop.hh"
 
 using namespace aim;
 using namespace aim::serve;
@@ -187,15 +187,18 @@ TEST(FleetConfigValidation, RejectsGangExceedingCapableChips)
 
 TEST(FleetConfigValidation, ConstructorRefusesInvalidConfig)
 {
-    pim::PimConfig cfg;
+    // The serving engine's constructor validates the fleet it gets.
+    const pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();
-    auto f = valid();
-    f.chips = 0;
-    EXPECT_DEATH(Fleet(cfg, cal, f), "chips");
-    f = valid();
-    f.threads = -4;
-    EXPECT_DEATH(Fleet(cfg, cal, f), "threads");
-    f = valid();
-    f.gangs = {gang("Llama3-8B", 9)};
-    EXPECT_DEATH(Fleet(cfg, cal, f), "needs 9 chips");
+    stream::StreamConfig scfg;
+    scfg.fleet = valid();
+    scfg.fleet.chips = 0;
+    EXPECT_DEATH((stream::EventLoop{cfg, cal, scfg}), "chips");
+    scfg.fleet = valid();
+    scfg.fleet.threads = -4;
+    EXPECT_DEATH((stream::EventLoop{cfg, cal, scfg}), "threads");
+    scfg.fleet = valid();
+    scfg.fleet.gangs = {gang("Llama3-8B", 9)};
+    EXPECT_DEATH((stream::EventLoop{cfg, cal, scfg}),
+                 "needs 9 chips");
 }

@@ -1,22 +1,12 @@
 #include <gtest/gtest.h>
 
-#include "serve/Fleet.hh"
+#include "TestUtil.hh"
 
 using namespace aim;
 using namespace aim::serve;
 
 namespace
 {
-
-/** Compiles are slow; share one cache across the whole suite. */
-ModelCache &
-sharedCache()
-{
-    static AimPipeline pipe{pim::PimConfig{},
-                            power::defaultCalibration()};
-    static ModelCache cache(pipe);
-    return cache;
-}
 
 /** A 4-chip fleet where ResNet18 is gang-dispatched over 2 chips. */
 FleetConfig
@@ -25,9 +15,7 @@ gangConfig(SchedPolicy policy, int threads)
     FleetConfig f;
     f.chips = 4;
     f.policy = policy;
-    f.options.useLhr = false; // skip QAT: compile in ms
-    f.options.workScale = 0.05;
-    f.options.mapper = mapping::MapperKind::Sequential;
+    f.options = test::fastServeOptions();
     f.seed = 5;
     f.threads = threads;
     GangSpec gang;
@@ -41,49 +29,13 @@ gangConfig(SchedPolicy policy, int threads)
 std::vector<Request>
 trace(long requests = 16)
 {
-    TraceConfig t;
-    t.arrivals = ArrivalKind::Bursty;
-    t.meanRatePerSec = 20000.0;
-    t.requests = requests;
-    t.seed = 7;
-    t.mix = {{"ResNet18", 1.0, 4000.0},
-             {"MobileNetV2", 1.0, 4000.0}};
-    return generateTrace(t);
+    return test::serveTrace(requests, ArrivalKind::Bursty);
 }
 
-ServeReport
+stream::StreamReport
 run(SchedPolicy policy, int threads)
 {
-    pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
-    Fleet fleet(cfg, cal, gangConfig(policy, threads));
-    return fleet.serve(trace(), sharedCache());
-}
-
-/** Field-by-field bit-identity of two serve reports. */
-void
-expectIdentical(const ServeReport &a, const ServeReport &b)
-{
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.sloViolations, b.sloViolations);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.irFailures, b.irFailures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.gangDispatches, b.gangDispatches);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i) {
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
-        EXPECT_EQ(a.queueUs[i], b.queueUs[i]) << "request " << i;
-    }
-    ASSERT_EQ(a.chips.size(), b.chips.size());
-    for (size_t c = 0; c < a.chips.size(); ++c) {
-        EXPECT_EQ(a.chips[c].served, b.chips[c].served);
-        EXPECT_EQ(a.chips[c].busyUs, b.chips[c].busyUs);
-        EXPECT_EQ(a.chips[c].reloadUs, b.chips[c].reloadUs);
-        EXPECT_EQ(a.chips[c].retuneUs, b.chips[c].retuneUs);
-    }
-    EXPECT_EQ(a.render(), b.render());
+    return test::serveFleet(gangConfig(policy, threads), trace());
 }
 
 } // namespace
@@ -117,14 +69,15 @@ TEST(FleetGang, ReportIsBitIdenticalAcrossThreads)
 {
     const auto serial = run(SchedPolicy::Fcfs, 1);
     for (int threads : {2, 4})
-        expectIdentical(serial, run(SchedPolicy::Fcfs, threads));
+        test::expectSameReport(serial,
+                               run(SchedPolicy::Fcfs, threads));
 }
 
 TEST(FleetGang, IdenticalAcrossThreadsForEveryPolicy)
 {
     for (const auto policy : allPolicies()) {
         const auto serial = run(policy, 1);
-        expectIdentical(serial, run(policy, 4));
+        test::expectSameReport(serial, run(policy, 4));
     }
 }
 
@@ -132,12 +85,9 @@ TEST(FleetGang, GangFillsWholeFleet)
 {
     // A gang spanning every chip serializes gang requests but must
     // still complete and keep the plain model interleaved.
-    pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
     auto fcfg = gangConfig(SchedPolicy::Fcfs, 1);
     fcfg.gangs[0].partition.chips = 4;
-    Fleet fleet(cfg, cal, fcfg);
-    const auto rep = fleet.serve(trace(8), sharedCache());
+    const auto rep = test::serveFleet(fcfg, trace(8));
     EXPECT_EQ(rep.requests, 8);
     EXPECT_GT(rep.gangDispatches, 0);
     for (double l : rep.latencyUs)

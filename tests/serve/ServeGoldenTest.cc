@@ -7,10 +7,11 @@
  * streaming loop: makespan, p50, p99 and total MACs at %.17g, an
  * FNV-1a hash over the per-request latency and queueing vectors, the
  * per-chip usage and the counters.  Every configuration is served
- * three ways -- serve::Fleet at 1 and 4 host threads, and the
- * stream::EventLoop pulling the same trace from its lazy TraceSource
- * at 2 threads -- and all three must reproduce the record bit for
- * bit.  Cache counters are left out: the suites share one
+ * through both entries of stream::EventLoop -- the finite trace at 1
+ * and 4 host threads (BurstyTraceEveryPolicy adds 8 and 0, the
+ * hardware concurrency), and the lazy TraceSource stream of the same
+ * requests at 2 threads -- and every serve must reproduce the record
+ * bit for bit.  Cache counters are left out: the suites share one
  * process-wide ModelCache, so they depend on test order.
  *
  * The overload records pin streamed runs whose queue grows to
@@ -29,11 +30,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "TestUtil.hh"
-#include "stream/EventLoop.hh"
 
 using namespace aim;
 using namespace aim::serve;
@@ -103,10 +104,9 @@ fnv1a(const std::vector<double> &a, const std::vector<double> &b)
     return h;
 }
 
-/** Per-chip usage bits of a ServeReport or a StreamReport. */
-template <typename Report>
+/** Per-chip usage bits of a report. */
 std::vector<ChipBits>
-chipBits(const Report &r)
+chipBits(const stream::StreamReport &r)
 {
     std::vector<ChipBits> bits;
     for (const auto &c : r.chips)
@@ -130,10 +130,9 @@ renderChips(std::string s, const std::vector<ChipBits> &chips)
     return s + "}}";
 }
 
-/** The golden fields of a ServeReport or a StreamReport. */
-template <typename Report>
+/** The golden fields of a report. */
 Golden
-record(const Report &r)
+record(const stream::StreamReport &r)
 {
     return {r.requests,      r.makespanUs,
             r.p50Us,         r.p99Us,
@@ -171,23 +170,23 @@ expectGolden(const Golden &want, const Golden &got,
 }
 
 /**
- * Serve @p tcfg on @p fcfg through Fleet at 1 and 4 threads and
- * through the streaming loop at 2 threads; all three must match
- * @p want.
+ * Serve @p tcfg on @p fcfg as a finite trace at each of
+ * @p finiteThreads host threads and as a lazy stream at 2 threads;
+ * every serve must match @p want.
  */
 void
 expectServes(const Golden &want, FleetConfig fcfg,
-             const TraceConfig &tcfg)
+             const TraceConfig &tcfg,
+             std::initializer_list<int> finiteThreads = {1, 4})
 {
     const pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();
     const auto trace = generateTrace(tcfg);
-    for (const int threads : {1, 4}) {
+    for (const int threads : finiteThreads) {
         fcfg.threads = threads;
-        Fleet fleet(cfg, cal, fcfg);
-        expectGolden(want,
-                     record(fleet.serve(trace, test::sharedCache())),
-                     "Fleet, " + std::to_string(threads) + " threads");
+        expectGolden(want, record(test::serveFleet(fcfg, trace)),
+                     "EventLoop finite trace, " +
+                         std::to_string(threads) + " threads");
     }
     stream::StreamConfig scfg;
     scfg.fleet = fcfg;
@@ -479,7 +478,7 @@ TEST(ServeGolden, BurstyTraceEveryPolicy)
 {
     const auto trace = test::serveTraceConfig(24, ArrivalKind::Bursty);
     for (const auto policy : allPolicies())
-        expectServes(kBursty, fleetConfig(policy), trace);
+        expectServes(kBursty, fleetConfig(policy), trace, {1, 4, 8, 0});
 }
 
 TEST(ServeGolden, PoissonAndDiurnalFcfs)

@@ -67,42 +67,6 @@ traceOf(std::vector<TraceMix> mix, long requests = 16)
     return generateTrace(t);
 }
 
-ServeReport
-run(const FleetConfig &fcfg, const std::vector<Request> &trace)
-{
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
-    Fleet fleet(cfg, cal, fcfg);
-    return fleet.serve(trace, test::sharedCache());
-}
-
-/** Field-by-field bit-identity of two serve reports. */
-void
-expectIdentical(const ServeReport &a, const ServeReport &b)
-{
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.sloViolations, b.sloViolations);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.irFailures, b.irFailures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.gangDispatches, b.gangDispatches);
-    EXPECT_EQ(a.placementViolations, b.placementViolations);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i) {
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
-        EXPECT_EQ(a.queueUs[i], b.queueUs[i]) << "request " << i;
-    }
-    ASSERT_EQ(a.chips.size(), b.chips.size());
-    for (size_t c = 0; c < a.chips.size(); ++c) {
-        EXPECT_EQ(a.chips[c].served, b.chips[c].served) << c;
-        EXPECT_EQ(a.chips[c].busyUs, b.chips[c].busyUs) << c;
-        EXPECT_EQ(a.chips[c].reloadUs, b.chips[c].reloadUs) << c;
-        EXPECT_EQ(a.chips[c].retuneUs, b.chips[c].retuneUs) << c;
-    }
-    EXPECT_EQ(a.render(), b.render());
-}
-
 } // namespace
 
 TEST(ChipSkuValidation, StockSkusAreValidAndSized)
@@ -200,8 +164,8 @@ TEST(SkuFleet, CapabilityPlacementKeepsBigModelsOffTinyChips)
 {
     // GPT2 (~86 Mweight) outgrows the tiny part's 32 Mweight, so on
     // a GPT2-only trace the tiny chips must stay completely idle.
-    const auto rep = run(mixedFleet(),
-                         traceOf({{"GPT2", 1.0, 4000.0}}, 12));
+    const auto rep = test::serveFleet(
+        mixedFleet(), traceOf({{"GPT2", 1.0, 4000.0}}, 12));
     EXPECT_EQ(rep.requests, 12);
     EXPECT_EQ(rep.placementViolations, 0);
     EXPECT_GT(rep.chips[0].served + rep.chips[1].served, 0);
@@ -213,10 +177,10 @@ TEST(SkuFleet, CapabilityPlacementKeepsBigModelsOffTinyChips)
 
 TEST(SkuFleet, MixedTraceServesEverythingWithoutViolations)
 {
-    const auto rep =
-        run(mixedFleet(), traceOf({{"GPT2", 1.0, 4000.0},
-                                   {"ResNet18", 1.0, 4000.0}},
-                                  16));
+    const auto rep = test::serveFleet(
+        mixedFleet(), traceOf({{"GPT2", 1.0, 4000.0},
+                               {"ResNet18", 1.0, 4000.0}},
+                              16));
     EXPECT_EQ(rep.requests, 16);
     EXPECT_EQ(rep.placementViolations, 0);
     long served = 0;
@@ -239,16 +203,16 @@ TEST(SkuFleet, AllDefaultSkuTableMatchesLegacyFleetBitForBit)
     const auto trace = traceOf(
         {{"ResNet18", 1.0, 4000.0}, {"MobileNetV2", 1.0, 4000.0}},
         20);
-    expectIdentical(run(legacy, trace), run(skud, trace));
+    test::expectSameReport(test::serveFleet(legacy, trace),
+                           test::serveFleet(skud, trace));
 }
 
 TEST(SkuFleet, ThreadCountBitIdentityOnMixedFleet)
 {
     const auto trace = traceOf(
         {{"GPT2", 1.0, 4000.0}, {"ResNet18", 1.0, 4000.0}}, 16);
-    const auto serial = run(mixedFleet(1), trace);
-    const auto parallel = run(mixedFleet(4), trace);
-    expectIdentical(serial, parallel);
+    test::expectSameReport(test::serveFleet(mixedFleet(1), trace),
+                           test::serveFleet(mixedFleet(4), trace));
 }
 
 TEST(SkuPartition, CapacityAwareStagesFollowSlotCapacity)
@@ -316,11 +280,7 @@ TEST(SkuFleet, UnservableModelIsFatalNotSilent)
     f.skus = {tinySku()};
     f.skuOf = {0, 0};
     const auto trace = traceOf({{"ViT", 1.0, 4000.0}}, 4);
-    const pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
-    Fleet fleet(cfg, cal, f);
-    EXPECT_DEATH(fleet.serve(trace, test::sharedCache()),
-                 "fits no");
+    EXPECT_DEATH(test::serveFleet(f, trace), "fits no");
 }
 
 TEST(SkuFleet, ModelFittingOnlyAnUninstantiatedSkuIsFatal)

@@ -2,10 +2,11 @@
  * @file
  * Backend determinism through the serving stack: a fleet serving
  * with a non-default droop backend (Mesh, Transient) must produce
- * bit-identical ServeReports at any host thread count (the
- * FleetParallelTest property -- both backends keep their per-window
- * solver state in the per-round IrEval, never shared across
- * threads), and the backend tag must flow into the report.
+ * bit-identical reports at any host thread count (the property
+ * tests/serve/ServeGoldenTest pins on the analytic backend -- both
+ * backends keep their per-window solver state in the per-round
+ * IrEval, never shared across threads), and the backend tag must
+ * flow into the report.
  */
 
 #include <gtest/gtest.h>
@@ -32,36 +33,13 @@ backendFleet(power::IrBackendKind kind, int threads, double dtNs)
 }
 
 /** @p dtNs is the transient step; 0 derives it per window. */
-ServeReport
+stream::StreamReport
 run(power::IrBackendKind kind, int threads,
     double dtNs = AimOptions{}.transientDtNs)
 {
-    pim::PimConfig cfg;
-    const auto cal = power::defaultCalibration();
-    Fleet fleet(cfg, cal, backendFleet(kind, threads, dtNs));
-    return fleet.serve(
-        test::serveTrace(10, ArrivalKind::Poisson, 8000.0),
-        test::sharedCache());
-}
-
-void
-expectIdentical(const ServeReport &a, const ServeReport &b)
-{
-    EXPECT_EQ(a.backend, b.backend);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.irFailures, b.irFailures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.p50Us, b.p50Us);
-    EXPECT_EQ(a.p95Us, b.p95Us);
-    EXPECT_EQ(a.p99Us, b.p99Us);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i) {
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
-        EXPECT_EQ(a.queueUs[i], b.queueUs[i]) << "request " << i;
-    }
-    EXPECT_EQ(a.render(), b.render());
+    return test::serveFleet(
+        backendFleet(kind, threads, dtNs),
+        test::serveTrace(10, ArrivalKind::Poisson, 8000.0));
 }
 
 } // namespace
@@ -70,8 +48,8 @@ TEST(BackendFleet, MeshReportBitIdenticalAcrossThreads)
 {
     const auto serial = run(power::IrBackendKind::Mesh, 1);
     for (int threads : {2, 4})
-        expectIdentical(serial,
-                        run(power::IrBackendKind::Mesh, threads));
+        test::expectSameReport(
+            serial, run(power::IrBackendKind::Mesh, threads));
 }
 
 TEST(BackendFleet, TransientReportBitIdenticalAcrossThreads)
@@ -82,9 +60,9 @@ TEST(BackendFleet, TransientReportBitIdenticalAcrossThreads)
         const auto serial =
             run(power::IrBackendKind::Transient, 1, dt_ns);
         for (int threads : {2, 4})
-            expectIdentical(serial,
-                            run(power::IrBackendKind::Transient,
-                                threads, dt_ns));
+            test::expectSameReport(
+                serial, run(power::IrBackendKind::Transient, threads,
+                            dt_ns));
     }
 }
 

@@ -9,12 +9,17 @@
  *  - control: admission bounds the queue at overload, the autoscaler
  *    grows the pool on a ramp, batching coalesces same-model queue
  *    neighbours, and the histogram digest tracks the exact one
+ *  - finite traces (the Fleet suite, run(cache, trace) on a 2-chip
+ *    fleet): every request is served once and never before it
+ *    arrives, percentiles are ordered, the IR-aware policy cuts
+ *    model switches, SLOs are accounted, and an empty trace yields
+ *    an empty report
  */
 
 #include <gtest/gtest.h>
 
 #include "TestUtil.hh"
-#include "stream/EventLoop.hh"
+#include "util/Stats.hh"
 
 using namespace aim;
 using namespace aim::serve;
@@ -56,40 +61,23 @@ runStream(const StreamConfig &scfg)
     return loop.run(test::sharedCache());
 }
 
-/** Bit-identity of two stream reports (determinism checks). */
-void
-expectIdentical(const StreamReport &a, const StreamReport &b)
+/** The Fleet suite's serve: the Poisson trace on 2 serial chips. */
+StreamReport
+serveFinite(SchedPolicy policy, long requests = 24)
 {
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.sloViolations, b.sloViolations);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.irFailures, b.irFailures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.batchedRequests, b.batchedRequests);
-    EXPECT_EQ(a.p50Us, b.p50Us);
-    EXPECT_EQ(a.p95Us, b.p95Us);
-    EXPECT_EQ(a.p99Us, b.p99Us);
-    EXPECT_EQ(a.meanUs, b.meanUs);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i)
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
-    EXPECT_EQ(a.render(), b.render());
+    return test::serveFleet(fleetConfig(policy, 1, 2),
+                            test::serveTrace(requests));
 }
 
 } // namespace
 
 TEST(EventLoop, ReportIsIndependentOfThreads)
 {
-    // Warm the shared cache once: render() reports per-run cache
-    // counters, which legitimately differ between a cold and a warm
-    // run of the same config.
-    runStream(compatConfig(SchedPolicy::Sjf, 1));
     const auto serial = runStream(compatConfig(SchedPolicy::Sjf, 1));
     for (int threads : {2, 4})
-        expectIdentical(serial,
-                        runStream(compatConfig(SchedPolicy::Sjf,
-                                               threads)));
+        test::expectSameReport(
+            serial,
+            runStream(compatConfig(SchedPolicy::Sjf, threads)));
 }
 
 TEST(EventLoop, SampledHistogramModeIsIndependentOfThreads)
@@ -99,12 +87,11 @@ TEST(EventLoop, SampledHistogramModeIsIndependentOfThreads)
     StreamConfig scfg = compatConfig(SchedPolicy::Fcfs, 1);
     scfg.serviceSamples = 3;
     scfg.histogramLatency = true;
-    runStream(scfg); // warm the shared cache (see above)
     const auto serial = runStream(scfg);
     EXPECT_EQ(serial.requests, 24);
     EXPECT_TRUE(serial.latencyUs.empty());
     scfg.fleet.threads = 4;
-    expectIdentical(serial, runStream(scfg));
+    test::expectSameReport(serial, runStream(scfg));
 }
 
 TEST(EventLoop, HistogramDigestTracksExactPercentiles)
@@ -202,13 +189,12 @@ TEST(EventLoop, TransientCarryModeIsDeterministic)
                                      ArrivalKind::Bursty, 12);
     scfg.fleet.options.irBackend = power::IrBackendKind::Transient;
     scfg.transientCarry = true;
-    runStream(scfg); // compile the transient artifacts once
     const auto a = runStream(scfg);
     EXPECT_EQ(a.requests, 12);
     // Carry serializes execution at dispatch, so the thread knob
     // must not matter even in principle.
     scfg.fleet.threads = 4;
-    expectIdentical(a, runStream(scfg));
+    test::expectSameReport(a, runStream(scfg));
 }
 
 TEST(EventLoop, CacheCountersReportRunDeltas)
@@ -242,4 +228,130 @@ TEST(EventLoop, FiniteTraceRejectsUnsortedArrivals)
                    compatConfig(SchedPolicy::Fcfs, 1));
     EXPECT_DEATH(loop.run(test::sharedCache(), trace),
                  "sorted by arrival");
+}
+
+// --- Finite traces: run(cache, trace) -----------------------------
+
+TEST(Fleet, ServesEveryRequest)
+{
+    const auto rep = serveFinite(SchedPolicy::Fcfs);
+    EXPECT_EQ(rep.requests, 24);
+    ASSERT_EQ(rep.latencyUs.size(), 24u);
+    ASSERT_EQ(rep.queueUs.size(), 24u);
+    for (size_t i = 0; i < rep.latencyUs.size(); ++i) {
+        EXPECT_GT(rep.latencyUs[i], 0.0) << "request " << i;
+        EXPECT_GE(rep.queueUs[i], 0.0) << "request " << i;
+        EXPECT_GE(rep.latencyUs[i], rep.queueUs[i]);
+    }
+    long served = 0;
+    for (const auto &c : rep.chips)
+        served += c.served;
+    EXPECT_EQ(served, 24);
+    EXPECT_GT(rep.makespanUs, 0.0);
+    EXPECT_GT(rep.totalMacs, 0.0);
+    EXPECT_GT(rep.aggregateTops(), 0.0);
+    EXPECT_GT(rep.throughputRps(), 0.0);
+}
+
+TEST(Fleet, PercentilesAreOrdered)
+{
+    const auto rep = serveFinite(SchedPolicy::Fcfs);
+    EXPECT_GT(rep.p50Us, 0.0);
+    EXPECT_LE(rep.p50Us, rep.p95Us);
+    EXPECT_LE(rep.p95Us, rep.p99Us);
+    EXPECT_EQ(rep.p50Us, util::percentile(rep.latencyUs, 50.0));
+    EXPECT_EQ(rep.p99Us, util::percentile(rep.latencyUs, 99.0));
+}
+
+TEST(Fleet, IrAwareReducesModelSwitches)
+{
+    const auto fcfs = serveFinite(SchedPolicy::Fcfs, 40);
+    const auto ir = serveFinite(SchedPolicy::IrAware, 40);
+    EXPECT_LE(ir.totalModelSwitches(), fcfs.totalModelSwitches());
+    // Both serve identical work, so the switch savings show up as
+    // less reload time.
+    double fcfs_reload = 0.0;
+    double ir_reload = 0.0;
+    for (int c = 0; c < 2; ++c) {
+        fcfs_reload += fcfs.chips[c].reloadUs;
+        ir_reload += ir.chips[c].reloadUs;
+    }
+    EXPECT_LE(ir_reload, fcfs_reload);
+}
+
+TEST(Fleet, TightSloIsViolatedLooseIsNot)
+{
+    auto tight = test::serveTrace();
+    for (auto &r : tight)
+        r.sloUs = 1e-3;
+    const auto rep =
+        test::serveFleet(fleetConfig(SchedPolicy::Fcfs, 1, 2), tight);
+    EXPECT_EQ(rep.sloViolations, rep.requests);
+
+    auto loose = test::serveTrace();
+    for (auto &r : loose)
+        r.sloUs = 1e9;
+    const auto rep2 =
+        test::serveFleet(fleetConfig(SchedPolicy::Fcfs, 1, 2), loose);
+    EXPECT_EQ(rep2.sloViolations, 0);
+}
+
+TEST(Fleet, EmptyTraceYieldsEmptyReport)
+{
+    // Nothing completes, so the exact digest has no latency to take
+    // percentiles of; they stay 0 as in histogram mode.
+    const auto rep =
+        test::serveFleet(fleetConfig(SchedPolicy::Fcfs, 1, 2), {});
+    EXPECT_EQ(rep.requests, 0);
+    EXPECT_EQ(rep.makespanUs, 0.0);
+    EXPECT_TRUE(rep.latencyUs.empty());
+    EXPECT_TRUE(rep.queueUs.empty());
+    EXPECT_EQ(rep.p99Us, 0.0);
+    ASSERT_EQ(rep.chips.size(), 2u);
+    for (const auto &c : rep.chips)
+        EXPECT_EQ(c.served, 0);
+}
+
+TEST(Fleet, SingleChipSerializesRequests)
+{
+    FleetConfig fcfg = fleetConfig(SchedPolicy::Fcfs, 1, 2);
+    fcfg.chips = 1;
+    const auto rep = test::serveFleet(fcfg, test::serveTrace(8));
+    ASSERT_EQ(rep.chips.size(), 1u);
+    EXPECT_EQ(rep.chips[0].served, 8);
+    // Makespan covers at least the chip's total busy + reload time.
+    EXPECT_GE(rep.makespanUs + 1e-9,
+              rep.chips[0].busyUs + rep.chips[0].reloadUs);
+}
+
+TEST(Fleet, NothingStartsBeforeItArrives)
+{
+    // Bunched late arrivals on idle chips: a buggy dispatcher
+    // serves a request before its arrival time, which shows up as
+    // negative queueing delay.
+    std::vector<Request> bunched;
+    for (long i = 0; i < 6; ++i) {
+        Request r;
+        r.id = i;
+        r.model = "ResNet18";
+        r.arrivalUs = 1000.0 + 10.0 * (i / 3);
+        r.sloUs = 1e9;
+        bunched.push_back(r);
+    }
+    const auto rep =
+        test::serveFleet(fleetConfig(SchedPolicy::Sjf, 1, 2), bunched);
+    for (long i = 0; i < 6; ++i) {
+        EXPECT_GE(rep.queueUs[i], 0.0) << "request " << i;
+        EXPECT_GT(rep.latencyUs[i], 0.0) << "request " << i;
+    }
+}
+
+TEST(Fleet, RenderMentionsHeadlineNumbers)
+{
+    const auto text = serveFinite(SchedPolicy::Sjf).render();
+    EXPECT_NE(text.find("sjf"), std::string::npos);
+    EXPECT_NE(text.find("p99"), std::string::npos);
+    EXPECT_NE(text.find("model switches"), std::string::npos);
+    EXPECT_NE(text.find("effective TOPS"), std::string::npos);
+    EXPECT_NE(text.find("per-chip"), std::string::npos);
 }

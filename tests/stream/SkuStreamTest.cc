@@ -156,20 +156,7 @@ TEST(SkuStream, ThreadCountBitIdentityOnMixedFleet)
     serial.trace = mixedTraceConfig();
     auto threaded = serial;
     threaded.fleet.threads = 4;
-    // Warm the shared cache so both runs see identical hit/miss
-    // deltas (render() includes them) regardless of which tests ran
-    // earlier in this process.
-    runStream(serial);
-    const auto a = runStream(serial);
-    const auto b = runStream(threaded);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.makespanUs, b.makespanUs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.gangDispatches, b.gangDispatches);
-    ASSERT_EQ(a.latencyUs.size(), b.latencyUs.size());
-    for (size_t i = 0; i < a.latencyUs.size(); ++i)
-        EXPECT_EQ(a.latencyUs[i], b.latencyUs[i]) << "request " << i;
-    EXPECT_EQ(a.render(), b.render());
+    test::expectSameReport(runStream(serial), runStream(threaded));
 }
 
 TEST(SkuStream, AutoscaledGangStreamCompletesWithoutViolations)
