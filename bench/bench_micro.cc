@@ -4,14 +4,15 @@
  * the bit-serial MAC + Rtog engine, the HR kernel, the normal
  * sampler, toggle-statistics estimation, Equation 5's interpolated
  * HR, the PDN mesh factor, solve and transient step, the window loop
- * serially and round-parallel on a pool, the annealing mapper, and
- * the ISA front end (lowering, scoreboard issue walk, list
- * scheduling).
+ * serially and round-parallel on a pool, one pipeline execute, the
+ * runtime environment build, the annealing mapper, and the ISA front
+ * end (lowering, scoreboard issue walk, list scheduling).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "BenchCommon.hh"
+#include "aim/Aim.hh"
 #include "exec/ExecPool.hh"
 #include "isa/Lower.hh"
 #include "isa/Schedule.hh"
@@ -215,6 +216,43 @@ BM_RuntimeRunPooled(benchmark::State &state)
                             static_cast<long>(rounds.size()));
 }
 BENCHMARK(BM_RuntimeRunPooled)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void
+BM_AimExecute(benchmark::State &state)
+{
+    // One aim_cli-style execute of ResNet18 under the default options
+    // (HR-aware mapper, booster, Analytic droop): its environment,
+    // toggle statistics and rounds on the pool execute creates per
+    // call.  Real time, because the work runs on that pool's workers.
+    // Compiled once per process: the benchmark body is re-entered
+    // while the library sizes its iteration count.
+    static const AimPipeline pipe(pim::PimConfig{},
+                                  power::defaultCalibration());
+    static const CompiledModel art =
+        pipe.compile(workload::modelByName("ResNet18"), AimOptions{});
+    uint64_t seed = 1;
+    for (auto _ : state) {
+        const AimReport rep = pipe.execute(art, seed++);
+        benchmark::DoNotOptimize(rep.run.wallTimeNs);
+    }
+}
+BENCHMARK(BM_AimExecute)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_RuntimeEnvBuild(benchmark::State &state)
+{
+    // The set-up every execute, gang stage runtime and serving class
+    // pays: V-f table, power model, timing thresholds and the
+    // Analytic droop backend.
+    const pim::PimConfig cfg;
+    const auto cal = power::defaultCalibration();
+    const sim::RunConfig rcfg;
+    for (auto _ : state) {
+        const sim::RuntimeEnv env(cfg, cal, rcfg);
+        benchmark::DoNotOptimize(env.vminByF.size());
+    }
+}
+BENCHMARK(BM_RuntimeEnvBuild)->Unit(benchmark::kMicrosecond);
 
 void
 BM_PdnMeshTransientStep(benchmark::State &state)

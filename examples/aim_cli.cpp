@@ -28,6 +28,9 @@
  *   --trace FILE                   write the ISA issue/complete
  *                                  trace as CSV (requires --isa)
  *
+ * Numeric values must be whole tokens ("5x" or "abc" is not a
+ * number): a malformed one prints the usage and exits 2.
+ *
  * Example:
  *   ./build/examples/aim_cli ViT --mode lowpower --beta 30
  *   ./build/examples/aim_cli GPT2 --ir-backend transient --dt 1.5
@@ -35,10 +38,12 @@
  *   ./build/examples/aim_cli ResNet18 --isa-schedule
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -59,6 +64,50 @@ usage()
         "[--ir-backend analytic|mesh|transient] [--decap F] "
         "[--dt F] [--isa] [--isa-schedule] [--trace FILE]\n");
     std::exit(2);
+}
+
+/** @p text as a whole base-10 integer of @p flag, else usage(). */
+long long
+parseInteger(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "aim_cli: %s expects an integer, got '%s'\n",
+                     flag, text);
+        usage();
+    }
+    return v;
+}
+
+/** parseInteger narrowed to int (out-of-range values are junk too). */
+int
+parseInt(const char *flag, const char *text)
+{
+    const long long v = parseInteger(flag, text);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+        std::fprintf(stderr, "aim_cli: %s is out of range: '%s'\n", flag,
+                     text);
+        usage();
+    }
+    return static_cast<int>(v);
+}
+
+/** @p text as a whole floating-point number of @p flag, else usage(). */
+double
+parseReal(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "aim_cli: %s expects a number, got '%s'\n",
+                     flag, text);
+        usage();
+    }
+    return v;
 }
 
 } // namespace
@@ -96,9 +145,9 @@ main(int argc, char **argv)
         } else if (arg == "--no-wds") {
             opts.useWds = false;
         } else if (arg == "--delta") {
-            opts.wdsDelta = std::atoi(next());
+            opts.wdsDelta = parseInt("--delta", next());
         } else if (arg == "--beta") {
-            opts.beta = std::atoi(next());
+            opts.beta = parseInt("--beta", next());
         } else if (arg == "--mapper") {
             const std::string m = next();
             if (m == "seq")
@@ -112,16 +161,17 @@ main(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--work") {
-            opts.workScale = std::atof(next());
+            opts.workScale = parseReal("--work", next());
         } else if (arg == "--seed") {
-            opts.seed = static_cast<uint64_t>(std::atoll(next()));
+            opts.seed =
+                static_cast<uint64_t>(parseInteger("--seed", next()));
         } else if (arg == "--ir-backend") {
             if (!power::irBackendFromName(next(), opts.irBackend))
                 usage();
         } else if (arg == "--decap") {
-            opts.transientDecapNf = std::atof(next());
+            opts.transientDecapNf = parseReal("--decap", next());
         } else if (arg == "--dt") {
-            opts.transientDtNs = std::atof(next());
+            opts.transientDtNs = parseReal("--dt", next());
         } else if (arg == "--isa") {
             opts.useIsa = true;
         } else if (arg == "--isa-schedule") {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/ExecPool.hh"
 #include "isa/Engine.hh"
 #include "isa/Lower.hh"
 #include "isa/Schedule.hh"
@@ -270,6 +271,15 @@ AimPipeline::execute(const CompiledModel &compiled,
     sim::RunConfig rcfg = runConfigFor(opts);
     if (runtime_seed != 0)
         rcfg.seed = runtime_seed;
+    // The rounds of one request share nothing but the toggle
+    // statistics, so they run on a pool this call owns and merge in
+    // round order, bit-identically.  A trace sink records the serial
+    // event order, so a traced run stays on the calling thread.
+    const size_t workers =
+        std::min(compiled.rounds.size(),
+                 static_cast<size_t>(exec::ExecPool::resolveThreads(0)));
+    exec::ExecPool pool(trace || workers < 1 ? 1
+                                             : static_cast<int>(workers));
     if (opts.useIsa) {
         aim_assert(compiled.program,
                    "useIsa artifact of ", compiled.modelName,
@@ -277,7 +287,7 @@ AimPipeline::execute(const CompiledModel &compiled,
         isa::Engine engine(cfg, cal, rcfg);
         const isa::EngineReport er = engine.run(
             *compiled.program, compiled.stream, rcfg.seed, nullptr,
-            trace, compiled.schedule.get());
+            trace, compiled.schedule.get(), &pool);
         rep.run = er.run;
         rep.isaInstructions = er.decoded;
         rep.isaFusedMacs = er.fusedMacs;
@@ -287,7 +297,8 @@ AimPipeline::execute(const CompiledModel &compiled,
         rep.isaScheduleSavedNs = er.scheduleSavedNs;
     } else {
         sim::Runtime runtime(cfg, cal, rcfg);
-        rep.run = runtime.run(compiled.rounds, compiled.stream);
+        rep.run = runtime.run(compiled.rounds, compiled.stream,
+                              rcfg.seed, nullptr, &pool);
     }
 
     const power::IrModel ir(cal);

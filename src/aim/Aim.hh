@@ -278,6 +278,15 @@ class AimPipeline
      * Chip-execution half of run(): run a compiled artifact on the
      * modelled chip and assemble the full report.
      *
+     * The artifact's rounds run on an exec::ExecPool this call
+     * creates, with min(rounds, hardware concurrency) workers,
+     * through sim::Runtime::run or isa::Engine::run; the pooled
+     * rounds merge in round order, so the report is bit-identical to
+     * the serial loop (tests/aim/ExecuteGoldenTest).  With a trace
+     * sink the run stays serial on the calling thread.  The pool is
+     * per call, never the caller's: nested callers (pipelines run
+     * inside SweepDriver workers) only oversubscribe the host.
+     *
      * @param compiled artifact from compile()
      * @param runtimeSeed overrides the runtime noise seed; pass
      *        distinct values to simulate independent requests.  The

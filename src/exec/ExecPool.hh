@@ -36,8 +36,9 @@
  * pool stays forbidden -- it waits for an in-flight count that
  * includes the calling task -- and is fatal.  Pools nest across
  * instances as before: quant::QatTrainer::run trains a network's
- * layers on a pool it creates per call, and may itself run inside
- * another pool's workers (bench_fig18_beta_sweep compiles inside
+ * layers, and AimPipeline::execute runs a request's rounds, on a pool
+ * each creates per call, and either may itself run inside another
+ * pool's workers (bench_fig18_beta_sweep runs pipelines inside
  * SweepDriver).
  */
 

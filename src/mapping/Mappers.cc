@@ -92,9 +92,12 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
     checkFits(tasks, cfg);
     util::Rng rng(anneal.seed);
 
-    // Algorithm 3 line 1: start from the traditional mapping.
+    // Algorithm 3 line 1: start from the traditional mapping.  Each
+    // candidate is the current mapping with one swap applied in place
+    // (and undone on rejection), scored in buffers the chain owns.
     Mapping cur = mapSequential(tasks, cfg);
-    const double s0 = evaluator.evaluate(cur, tasks).score;
+    EvalScratch scratch;
+    const double s0 = evaluator.evaluate(cur, tasks, scratch).score;
     double s_cur = s0;
     Mapping best = cur;
     double s_best = s0;
@@ -106,7 +109,6 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
 
         // Transition: swap the tasks of two macros from different
         // groups (vacant macros included -- the empty-macro option).
-        Mapping cand = cur;
         const int m1 =
             static_cast<int>(rng.uniformInt(0, cfg.macros() - 1));
         int m2 = m1;
@@ -116,24 +118,25 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
             m2 = static_cast<int>(rng.uniformInt(0, cfg.macros() - 1));
         if (Mapping::groupOf(m2, cfg) == Mapping::groupOf(m1, cfg))
             continue;
-        std::swap(cand.taskOfMacro[m1], cand.taskOfMacro[m2]);
+        std::swap(cur.taskOfMacro[m1], cur.taskOfMacro[m2]);
 
-        const double s_new = evaluator.evaluate(cand, tasks).score;
+        const double s_new = evaluator.evaluate(cur, tasks, scratch).score;
         const double delta = s_new - s_cur;
         // Normalized-exponential acceptor (Section 5.6).
         const bool accept =
             delta < 0.0 ||
             rng.uniform() < std::exp(-delta / (0.5 * s0 * temp));
         if (accept) {
-            cur = std::move(cand);
             s_cur = s_new;
             rejected = 0;
             if (s_new < s_best) {
-                best = cur;
+                best.taskOfMacro = cur.taskOfMacro;
                 s_best = s_new;
             }
-        } else if (++rejected >= anneal.patience) {
-            break; // ten consecutive rejections: converged
+        } else {
+            std::swap(cur.taskOfMacro[m1], cur.taskOfMacro[m2]);
+            if (++rejected >= anneal.patience)
+                break; // ten consecutive rejections: converged
         }
     }
     return best;

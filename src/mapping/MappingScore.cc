@@ -26,23 +26,38 @@ MappingEvaluator::MappingEvaluator(const pim::PimConfig &cfg,
     for (int i = 0; i < 100; ++i)
         flipSeq.push_back(
             std::clamp(rng.normal(0.55, 0.18), 0.0, 1.0));
+    // evaluate() only counts the flips above a limit, so their order
+    // is free: sorted, the count is one binary search.
+    std::sort(flipSeq.begin(), flipSeq.end());
 }
 
 ScoreBreakdown
 MappingEvaluator::evaluate(const Mapping &mapping,
                            const std::vector<Task> &tasks) const
 {
+    EvalScratch scratch;
+    return evaluate(mapping, tasks, scratch);
+}
+
+ScoreBreakdown
+MappingEvaluator::evaluate(const Mapping &mapping,
+                           const std::vector<Task> &tasks,
+                           EvalScratch &scratch) const
+{
     aim_assert(mapping.macros() == cfg.macros(),
                "mapping size != chip macros");
 
-    const auto worst_hr = groupWorstHr(mapping, tasks, cfg);
+    groupWorstHr(mapping, tasks, cfg, scratch.worstHr);
+    const std::vector<double> &worst_hr = scratch.worstHr;
 
     // Group operating points: the worst task pins the safe level; the
     // evaluator assumes the initial aggressive level (Table 1), which
     // is what the group will mostly run at.
     const auto &cal = table.calibration();
-    std::vector<int> group_level(cfg.groups, 0);
-    std::vector<power::VfPair> group_pair(cfg.groups);
+    std::vector<int> &group_level = scratch.groupLevel;
+    std::vector<power::VfPair> &group_pair = scratch.groupPair;
+    group_level.assign(static_cast<size_t>(cfg.groups), 0);
+    group_pair.assign(static_cast<size_t>(cfg.groups), power::VfPair{});
     for (int g = 0; g < cfg.groups; ++g) {
         if (worst_hr[g] <= 0.0)
             continue; // vacant group: powered down
@@ -69,16 +84,11 @@ MappingEvaluator::evaluate(const Mapping &mapping,
     }
     const size_t sets = hi >= lo ? static_cast<size_t>(hi - lo) + 1 : 0;
     const size_t groups = static_cast<size_t>(cfg.groups);
-    struct SetAcc
-    {
-        double cycles = 0.0;
-        double freq = 0.0;
-        double stalls = 0.0;
-        bool present = false; ///< some macro runs a task of this Set
-        bool stalled = false; ///< some group hosting it fails
-    };
-    std::vector<SetAcc> acc(sets);
-    std::vector<uint8_t> hosts(sets * groups, 0); ///< [set][group]
+    using SetAcc = EvalScratch::SetAcc;
+    std::vector<SetAcc> &acc = scratch.sets;
+    std::vector<uint8_t> &hosts = scratch.hosts;
+    acc.assign(sets, SetAcc{});
+    hosts.assign(sets * groups, 0);
     const double macs_per_cycle =
         static_cast<double>(cfg.macsPerMacroPerPass()) / cfg.inputBits;
     for (int m = 0; m < mapping.macros(); ++m) {
@@ -99,15 +109,18 @@ MappingEvaluator::evaluate(const Mapping &mapping,
 
     // Expected IRFailure stalls: replay the flip sequence; a group
     // whose worst task exceeds its level stalls every set it hosts.
+    // With w = worst_hr[g] > 0, w * flip > limit is monotone in flip,
+    // so over the sorted sequence the failing flips are a suffix.
     for (int g = 0; g < cfg.groups; ++g) {
         if (worst_hr[g] <= 0.0)
             continue;
-        int failures = 0;
+        const double w = worst_hr[g];
         const double limit =
             static_cast<double>(group_level[g]) / 100.0;
-        for (double flip : flipSeq)
-            if (worst_hr[g] * flip > limit)
-                ++failures;
+        const auto first_fail = std::partition_point(
+            flipSeq.begin(), flipSeq.end(),
+            [&](double flip) { return !(w * flip > limit); });
+        const auto failures = flipSeq.end() - first_fail;
         if (failures == 0)
             continue;
         const double stall =

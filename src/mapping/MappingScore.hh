@@ -12,10 +12,18 @@
  *    group a set touches paces the whole set;
  *  - an IRFailure in one macro stalls its whole Set for a recompute
  *    window but not other Sets.
+ *
+ * The evaluator is const and stateless: the simulated-annealing
+ * mapper scores hundreds of candidates per round through one
+ * evaluator, passing in an EvalScratch it owns so the per-call
+ * arrays are reused instead of reallocated.
  */
 
 #ifndef AIM_MAPPING_MAPPINGSCORE_HH
 #define AIM_MAPPING_MAPPINGSCORE_HH
+
+#include <cstdint>
+#include <vector>
 
 #include "mapping/Task.hh"
 #include "power/PowerModel.hh"
@@ -46,6 +54,27 @@ struct ScoreBreakdown
     double meanGroupPowerMw = 0.0;
 };
 
+/** Buffers MappingEvaluator::evaluate reuses across calls; owned by
+ * the caller, so one evaluator serves any number of threads. */
+struct EvalScratch
+{
+    /** Per-Set accumulators over the mapped Set-id range. */
+    struct SetAcc
+    {
+        double cycles = 0.0;
+        double freq = 0.0;
+        double stalls = 0.0;
+        bool present = false; ///< some macro runs a task of this Set
+        bool stalled = false; ///< some group hosting it fails
+    };
+
+    std::vector<double> worstHr;
+    std::vector<int> groupLevel;
+    std::vector<power::VfPair> groupPair;
+    std::vector<SetAcc> sets;
+    std::vector<uint8_t> hosts; ///< [set][group]
+};
+
 /** Deterministic lightweight simulator for mapping evaluation. */
 class MappingEvaluator
 {
@@ -66,6 +95,12 @@ class MappingEvaluator
     ScoreBreakdown evaluate(const Mapping &mapping,
                             const std::vector<Task> &tasks) const;
 
+    /** Score a mapping in @p scratch's buffers; bit-identical to the
+     * two-argument form. */
+    ScoreBreakdown evaluate(const Mapping &mapping,
+                            const std::vector<Task> &tasks,
+                            EvalScratch &scratch) const;
+
     Objective objective() const { return mode; }
 
   private:
@@ -73,7 +108,8 @@ class MappingEvaluator
     const power::VfTable &table;
     const power::PowerModel &pm;
     Objective mode;
-    /** Pre-sampled 100-step flip fractions (paper Section 5.6). */
+    /** Pre-sampled 100-step flip fractions (paper Section 5.6),
+     * sorted ascending: only their count above a limit is read. */
     std::vector<double> flipSeq;
 };
 

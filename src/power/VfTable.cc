@@ -10,19 +10,41 @@ namespace aim::power
 
 VfTable::VfTable(const Calibration &cal) : cal(cal), ir(cal)
 {
+    for (double f : cal.fGrid)
+        gridVmin.push_back(vMinTiming(f));
+
     for (int l = cal.levelMinPct; l <= cal.levelMaxPct;
          l += cal.levelStepPct)
-        levelList.push_back(l);
-    levelList.push_back(100);
+        levelMemo.emplace_back().pct = l;
+    levelMemo.emplace_back().pct = 100;
 
-    pairSets.resize(levelList.size());
-    for (size_t i = 0; i < levelList.size(); ++i) {
+    for (Level &level : levelMemo) {
+        const double rtog = static_cast<double>(level.pct) / 100.0;
         for (double v : cal.vGrid)
-            for (double f : cal.fGrid) {
-                const VfPair p{v, f};
-                if (pairSafeAt(p, levelList[i]))
-                    pairSets[i].push_back(p);
-            }
+            for (size_t i = 0; i < gridVmin.size(); ++i)
+                if (ir.vEff(v, cal.fGrid[i], rtog) >= gridVmin[i])
+                    level.pairs.push_back({v, cal.fGrid[i]});
+        if (level.pairs.empty())
+            continue;
+
+        // Sprint: max frequency, then max voltage.
+        level.sprint = level.pairs.front();
+        for (const auto &p : level.pairs)
+            if (p.fGhz > level.sprint.fGhz ||
+                (p.fGhz == level.sprint.fGhz && p.v > level.sprint.v))
+                level.sprint = p;
+        // Low power: minimum power among pairs holding the nominal
+        // frequency; if none can, the fastest available (minimizes
+        // the slowdown).
+        const VfPair *best = nullptr;
+        for (const auto &p : level.pairs) {
+            if (p.fGhz + 1e-9 < cal.fNominal)
+                continue;
+            if (!best ||
+                p.v * p.v * p.fGhz < best->v * best->v * best->fGhz)
+                best = &p;
+        }
+        level.lowPower = best ? *best : level.sprint;
     }
 }
 
@@ -61,36 +83,40 @@ VfTable::vMinTiming(double fGhz) const
     return hi;
 }
 
-bool
-VfTable::pairSafeAt(const VfPair &p, int levelPct) const
-{
-    const double rtog = static_cast<double>(levelPct) / 100.0;
-    const double veff = ir.vEff(p.v, p.fGhz, rtog);
-    return veff >= vMinTiming(p.fGhz);
-}
-
 std::vector<int>
 VfTable::levels() const
 {
-    return levelList;
+    std::vector<int> out;
+    for (const Level &level : levelMemo)
+        out.push_back(level.pct);
+    return out;
+}
+
+const VfTable::Level *
+VfTable::findLevel(int levelPct) const
+{
+    for (const Level &level : levelMemo)
+        if (level.pct == levelPct)
+            return &level;
+    return nullptr;
 }
 
 const std::vector<VfPair> &
 VfTable::pairsAt(int levelPct) const
 {
-    for (size_t i = 0; i < levelList.size(); ++i)
-        if (levelList[i] == levelPct)
-            return pairSets[i];
-    return empty;
+    const Level *level = findLevel(levelPct);
+    return level ? level->pairs : empty;
 }
 
 int
 VfTable::maxLevelPct(const VfPair &p) const
 {
+    const double vmin = vMinTiming(p.fGhz);
     int best = 0;
-    for (int l : levelList)
-        if (pairSafeAt(p, l))
-            best = std::max(best, l);
+    for (const Level &level : levelMemo)
+        if (ir.vEff(p.v, p.fGhz,
+                    static_cast<double>(level.pct) / 100.0) >= vmin)
+            best = std::max(best, level.pct);
     return best;
 }
 
@@ -108,34 +134,19 @@ VfTable::safeLevelFor(double hr) const
 VfPair
 VfTable::sprintPair(int levelPct) const
 {
-    const auto &pairs = pairsAt(levelPct);
-    aim_assert(!pairs.empty(), "no V-f pair at level ", levelPct);
-    VfPair best = pairs.front();
-    for (const auto &p : pairs)
-        if (p.fGhz > best.fGhz ||
-            (p.fGhz == best.fGhz && p.v > best.v))
-            best = p;
-    return best;
+    const Level *level = findLevel(levelPct);
+    aim_assert(level && !level->pairs.empty(), "no V-f pair at level ",
+               levelPct);
+    return level->sprint;
 }
 
 VfPair
 VfTable::lowPowerPair(int levelPct) const
 {
-    const auto &pairs = pairsAt(levelPct);
-    aim_assert(!pairs.empty(), "no V-f pair at level ", levelPct);
-
-    const VfPair *best = nullptr;
-    for (const auto &p : pairs) {
-        if (p.fGhz + 1e-9 < cal.fNominal)
-            continue;
-        if (!best || p.v * p.v * p.fGhz < best->v * best->v * best->fGhz)
-            best = &p;
-    }
-    if (best)
-        return *best;
-    // No pair holds nominal frequency at this level: fall back to the
-    // fastest available (minimizes the slowdown).
-    return sprintPair(levelPct);
+    const Level *level = findLevel(levelPct);
+    aim_assert(level && !level->pairs.empty(), "no V-f pair at level ",
+               levelPct);
+    return level->lowPower;
 }
 
 VfPair

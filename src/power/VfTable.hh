@@ -8,6 +8,15 @@
  * off at worst-case activity); IR-Booster unlocks the 20%..60% levels,
  * allowing lower voltage at the same frequency or higher frequency at
  * the same voltage.
+ *
+ * Construction bisects the timing threshold vMinTiming once per grid
+ * frequency (5 bisections, not one per (level, V, f) candidate) and
+ * memoizes each level's pair set and its sprint / low-power choice,
+ * so every lookup the window engine, the boosters and the mapping
+ * evaluator make afterwards is a table read.  The memo holds exactly
+ * the values the direct definitions give (tests/power/VfTableTest
+ * MemoMatchesDirectGridScan); a level whose pair set is empty stays
+ * empty, and asking it for a pair still fails at the call.
  */
 
 #ifndef AIM_POWER_VFTABLE_HH
@@ -43,8 +52,16 @@ class VfTable
      */
     double fMax(double veff) const;
 
-    /** Minimum effective supply [V] required to close timing at f. */
+    /** Minimum effective supply [V] required to close timing at f
+     * (a 64-step bisection on every call). */
     double vMinTiming(double fGhz) const;
+
+    /** vMinTiming of each calibration grid frequency, in fGrid
+     * order, bisected once at construction. */
+    const std::vector<double> &gridVMinTiming() const
+    {
+        return gridVmin;
+    }
 
     /** All levels, ascending, ending with 100 (the DVFS level). */
     std::vector<int> levels() const;
@@ -62,12 +79,14 @@ class VfTable
      */
     int safeLevelFor(double hr) const;
 
-    /** Sprint-mode pair of a level: max frequency, then max voltage. */
+    /** Sprint-mode pair of a level: max frequency, then max voltage
+     * (memoized). */
     VfPair sprintPair(int levelPct) const;
 
     /**
      * Low-power-mode pair of a level: minimum power among pairs that
-     * hold the nominal frequency; if none can, the fastest pair.
+     * hold the nominal frequency; if none can, the fastest pair
+     * (memoized).
      */
     VfPair lowPowerPair(int levelPct) const;
 
@@ -77,12 +96,23 @@ class VfTable
     const Calibration &calibration() const { return cal; }
 
   private:
-    bool pairSafeAt(const VfPair &p, int levelPct) const;
+    /** One level's memo: its safe pairs in grid order (V outer, f
+     * inner) and, when there are any, its two mode pairs. */
+    struct Level
+    {
+        int pct = 0;
+        std::vector<VfPair> pairs;
+        VfPair sprint;
+        VfPair lowPower;
+    };
+
+    /** The memo of a level (nullptr if the level is unknown). */
+    const Level *findLevel(int levelPct) const;
 
     Calibration cal;
     IrModel ir;
-    std::vector<int> levelList;
-    std::vector<std::vector<VfPair>> pairSets;
+    std::vector<double> gridVmin;
+    std::vector<Level> levelMemo;
     std::vector<VfPair> empty;
 };
 

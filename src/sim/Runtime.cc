@@ -36,10 +36,11 @@ RuntimeEnv::RuntimeEnv(const pim::PimConfig &cfg,
                        const RunConfig &rcfg)
     : cfg(cfg), cal(cal), rcfg(rcfg), table(cal), pm(cal)
 {
-    // Timing thresholds per grid frequency (bisection is slow):
-    // computed once for the env's lifetime, not per round.
-    for (double f : cal.fGrid)
-        vminByF[f] = table.vMinTiming(f);
+    // Timing thresholds per grid frequency: the table bisected each
+    // one once at construction.
+    const auto &vmin = table.gridVMinTiming();
+    for (size_t i = 0; i < vmin.size(); ++i)
+        vminByF[cal.fGrid[i]] = vmin[i];
 
     recomputeStall = std::max<long>(
         1, (cal.recomputePenaltyCycles + cfg.inputBits - 1) /

@@ -128,7 +128,7 @@ struct WindowStats;
  * Construction-time execution environment of the window engine:
  * everything Runtime::runRound needs that is immutable across
  * rounds -- the V-f table, power model, the per-frequency timing
- * thresholds (one bisection each, computed once), the stall widths
+ * thresholds (the table's one bisection each), the stall widths
  * and the shared droop backend.  Factored out of Runtime so the
  * instruction-level engine (src/isa/Engine) executes against the
  * byte-identical environment instead of re-deriving its own.
@@ -143,7 +143,8 @@ struct RuntimeEnv
     RunConfig rcfg;
     power::VfTable table;
     power::PowerModel pm;
-    /** Timing threshold per grid frequency. */
+    /** Timing threshold per grid frequency (the table's
+     * gridVMinTiming, keyed by frequency). */
     std::map<double, double> vminByF;
     long recomputeStall = 1;
     long switchStall = 1;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "mapping/Mappers.hh"
 #include "power/PowerModel.hh"
@@ -335,5 +338,48 @@ TEST(MappingEvaluator, ScoreGolden)
         for (int t : hra.taskOfMacro)
             std::printf(" %d,", t);
         std::printf("\n");
+    }
+}
+
+TEST(MappingEvaluator, ReusedScratchMatchesFreshBuffers)
+{
+    // The annealer scores every candidate in one EvalScratch.  A
+    // scratch left over from a wider Set range, more stalling groups
+    // or a fuller chip must not leak into the next score: each call
+    // equals the two-argument form, which allocates fresh buffers.
+    aim::pim::PimConfig cfg;
+    const VfTable table{defaultCalibration()};
+    const PowerModel pm{defaultCalibration()};
+    const auto wide = goldenTasks();
+    std::vector<Task> narrow(wide.begin(), wide.begin() + 9);
+    for (Task &t : narrow)
+        t.setId = 40 + t.setId % 2;
+    const std::vector<Task> none;
+    aim::util::Rng rng(5);
+    Mapping vacant;
+    vacant.taskOfMacro.assign(static_cast<size_t>(cfg.macros()), -1);
+    const std::pair<const std::vector<Task> *, Mapping> cases[] = {
+        {&wide, mapRandom(wide, cfg, rng)},
+        {&narrow, mapSequential(narrow, cfg)},
+        {&none, vacant},
+        {&wide, mapSequential(wide, cfg)},
+        {&narrow, mapRandom(narrow, cfg, rng)},
+    };
+    for (const Objective obj : {Objective::Sprint, Objective::LowPower}) {
+        const MappingEvaluator eval(cfg, table, pm, obj, 9);
+        EvalScratch scratch;
+        for (int pass = 0; pass < 2; ++pass)
+            for (size_t i = 0; i < std::size(cases); ++i) {
+                const auto &[tasks, m] = cases[i];
+                const ScoreBreakdown got =
+                    eval.evaluate(m, *tasks, scratch);
+                const ScoreBreakdown want = eval.evaluate(m, *tasks);
+                EXPECT_EQ(got.score, want.score) << i;
+                EXPECT_EQ(got.makespanCycles, want.makespanCycles) << i;
+                EXPECT_EQ(got.energy, want.energy) << i;
+                EXPECT_EQ(got.stallCycles, want.stallCycles) << i;
+                EXPECT_EQ(got.meanGroupPowerMw, want.meanGroupPowerMw)
+                    << i;
+            }
     }
 }

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "power/VfTable.hh"
+#include "sim/Runtime.hh"
 
 using namespace aim::power;
+namespace sim = aim::sim;
 
 namespace
 {
@@ -147,4 +151,59 @@ TEST(VfTable, MaxLevelConsistentWithPairSets)
     for (int l : t.levels())
         for (const VfPair &p : t.pairsAt(l))
             EXPECT_GE(t.maxLevelPct(p), l);
+}
+
+TEST(VfTable, MemoMatchesDirectGridScan)
+{
+    // The table bisects the timing threshold once per grid frequency
+    // and memoizes each level's sprint / low-power pair.  Every read
+    // must equal the direct definitions: grid membership
+    // vEff(v, f, level/100) >= vMinTiming(f) in grid order, the two
+    // pair choices scanned over that set, and the runtime's
+    // per-frequency thresholds.  An 80 mV lower voltage grid empties
+    // the 100% level, which must stay empty rather than fail the
+    // table's construction.
+    Calibration low = defaultCalibration();
+    for (double &v : low.vGrid)
+        v -= 0.08;
+    const Calibration kCals[] = {defaultCalibration(), low};
+    for (const Calibration &cal : kCals) {
+        const VfTable t(cal);
+        const IrModel ir(cal);
+        for (int l : t.levels()) {
+            SCOPED_TRACE("level " + std::to_string(l));
+            std::vector<VfPair> want;
+            for (double v : cal.vGrid)
+                for (double f : cal.fGrid)
+                    if (ir.vEff(v, f, static_cast<double>(l) / 100.0) >=
+                        t.vMinTiming(f))
+                        want.push_back({v, f});
+            EXPECT_EQ(t.pairsAt(l), want);
+            if (want.empty())
+                continue;
+            VfPair sprint = want.front();
+            for (const VfPair &p : want)
+                if (p.fGhz > sprint.fGhz ||
+                    (p.fGhz == sprint.fGhz && p.v > sprint.v))
+                    sprint = p;
+            EXPECT_EQ(t.sprintPair(l), sprint);
+            const VfPair *lp = nullptr;
+            for (const VfPair &p : want)
+                if (p.fGhz + 1e-9 >= cal.fNominal &&
+                    (!lp || p.v * p.v * p.fGhz <
+                                lp->v * lp->v * lp->fGhz))
+                    lp = &p;
+            EXPECT_EQ(t.lowPowerPair(l), lp ? *lp : sprint);
+            for (const VfPair &p : want)
+                EXPECT_GE(t.maxLevelPct(p), l);
+        }
+        EXPECT_TRUE(t.pairsAt(42).empty());
+        EXPECT_EQ(t.pairsAt(100).empty(), &cal != &kCals[0]);
+
+        const sim::RuntimeEnv env(aim::pim::PimConfig{}, cal,
+                                  sim::RunConfig{});
+        ASSERT_EQ(env.vminByF.size(), std::size(cal.fGrid));
+        for (double f : cal.fGrid)
+            EXPECT_EQ(env.vminByF.at(f), t.vMinTiming(f)) << f;
+    }
 }

@@ -7,6 +7,8 @@
  * on every droop backend and on zoo artifacts with and without a
  * Schedule.  A carry chains the rounds and a trace sink records the
  * serial event order, so either one makes the run ignore the pool.
+ * AimPipeline::execute, which pools its rounds itself, must equal
+ * the serial runs of its artifact.
  */
 
 #include <sstream>
@@ -237,4 +239,47 @@ TEST(PooledRun, TraceSinkMakesTheEngineIgnoreThePool)
                                 &pooled_trace, nullptr, &pool),
                      want);
     EXPECT_EQ(pooled_csv.str(), serial_csv.str());
+}
+
+TEST(PooledRun, ExecuteMatchesSerialRunOnTheSameArtifact)
+{
+    // AimPipeline::execute runs a request's rounds on a pool it
+    // creates per call; its report must equal the serial
+    // Runtime::run / Engine::run of the same artifact and seed, and a
+    // trace sink must see the serial event order.
+    const pim::PimConfig cfg;
+    const auto cal = power::defaultCalibration();
+    const AimPipeline pipe(cfg, cal);
+    AimOptions opts = test::fastServeOptions();
+    opts.mapper = mapping::MapperKind::HrAware;
+    const auto model = workload::modelByName("ResNet18");
+    const CompiledModel art = pipe.compile(model, opts);
+    ASSERT_GT(art.rounds.size(), 1u);
+    const sim::Runtime rt(cfg, cal, runConfigFor(opts));
+    for (const uint64_t seed : {uint64_t{4242}, uint64_t{9}})
+        expectSameRun(pipe.execute(art, seed).run,
+                      rt.run(art.rounds, art.stream, seed));
+
+    opts.useIsa = true;
+    opts.isaSchedule = true;
+    const CompiledModel low = pipe.compile(model, opts);
+    const isa::Engine engine(cfg, cal, runConfigFor(opts));
+    std::ostringstream serial_csv, execute_csv;
+    isa::CsvTrace serial_trace(serial_csv), execute_trace(execute_csv);
+    const auto want = engine.run(*low.program, low.stream, 4242, nullptr,
+                                 &serial_trace, low.schedule.get());
+    for (isa::TraceSink *sink :
+         {static_cast<isa::TraceSink *>(nullptr),
+          static_cast<isa::TraceSink *>(&execute_trace)}) {
+        SCOPED_TRACE(sink ? "traced" : "untraced");
+        const AimReport got = pipe.execute(low, 4242, sink);
+        expectSameRun(got.run, want.run);
+        EXPECT_EQ(got.isaInstructions, want.decoded);
+        EXPECT_EQ(got.isaFusedMacs, want.fusedMacs);
+        EXPECT_EQ(got.isaTailIdleNs, want.tailIdleNs);
+        EXPECT_EQ(got.isaInOrderMakespanNs, want.inOrderMakespanNs);
+        EXPECT_EQ(got.isaScheduledMakespanNs, want.scheduledMakespanNs);
+        EXPECT_EQ(got.isaScheduleSavedNs, want.scheduleSavedNs);
+    }
+    EXPECT_EQ(execute_csv.str(), serial_csv.str());
 }
