@@ -273,13 +273,11 @@ AimPipeline::execute(const CompiledModel &compiled,
         rcfg.seed = runtime_seed;
     // The rounds of one request share nothing but the toggle
     // statistics, so they run on a pool this call owns and merge in
-    // round order, bit-identically.  A trace sink records the serial
-    // event order, so a traced run stays on the calling thread.
+    // round order, bit-identically (a trace included).
     const size_t workers =
         std::min(compiled.rounds.size(),
                  static_cast<size_t>(exec::ExecPool::resolveThreads(0)));
-    exec::ExecPool pool(trace || workers < 1 ? 1
-                                             : static_cast<int>(workers));
+    exec::ExecPool pool(workers < 1 ? 1 : static_cast<int>(workers));
     if (opts.useIsa) {
         aim_assert(compiled.program,
                    "useIsa artifact of ", compiled.modelName,

@@ -282,10 +282,11 @@ class AimPipeline
      * creates, with min(rounds, hardware concurrency) workers,
      * through sim::Runtime::run or isa::Engine::run; the pooled
      * rounds merge in round order, so the report is bit-identical to
-     * the serial loop (tests/aim/ExecuteGoldenTest).  With a trace
-     * sink the run stays serial on the calling thread.  The pool is
-     * per call, never the caller's: nested callers (pipelines run
-     * inside SweepDriver workers) only oversubscribe the host.
+     * the serial loop (tests/aim/ExecuteGoldenTest).  A traced run
+     * pools too: each round buffers its own events and the trace
+     * sink receives them in round order.  The pool is per call,
+     * never the caller's: nested callers (pipelines run inside
+     * SweepDriver workers) only oversubscribe the host.
      *
      * @param compiled artifact from compile()
      * @param runtimeSeed overrides the runtime noise seed; pass

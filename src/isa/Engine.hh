@@ -1,17 +1,13 @@
 /**
  * @file
  * The ISA execution engine: decode -> issuable-check -> issue ->
- * complete over a lowered Program (isa/Lower), driving the exact
- * window physics of the round-level runtime.
+ * complete over a lowered Program (isa/Lower).
  *
- * The engine executes each round's instruction block against the
- * same substrate Runtime::runRound uses -- the shared RuntimeEnv
- * (V-f table, power model, timing thresholds, droop backend), the
- * same ChipState round setup, the same WindowKernel per-window
- * advance, the same RNG draw order -- so the RunReport it produces
- * is bit-for-bit identical to Runtime::run on the same (rounds,
- * stream, seed) triple (tests/isa/EngineGoldenTest pins this on the
- * model zoo).  What the instruction granularity adds:
+ * The engine walks no physics of its own.  It runs the program's
+ * rounds through sim::Runtime::run and observes the window loop
+ * (sim::RoundObserver), so its RunReport is Runtime::run's on the
+ * same (rounds, stream, seed) triple by construction.  What the
+ * instruction granularity adds:
  *
  *   - a Scoreboard enforcing the explicit dependency tags, the
  *     BARRIER round boundary and the same-Set structural hazard,
@@ -37,13 +33,12 @@
  * The replay never feeds back into the physics, which is what keeps
  * droop/accuracy statistics bit-identical under scheduling.
  *
- * Like Runtime::run, the engine can execute a program's rounds on an
- * exec::ExecPool when nothing chains them -- no electrical-state
- * carry and no trace sink (whose event order is the serial walk's).
- * Each round fills its own slot (report, issue counters, tail
- * inputs) and writes its MAC durations at its own instruction
- * indices; the slots merge in round order and the counters sum, so
- * the EngineReport is bit-identical to the serial run.
+ * Each round keeps its own issue state (scoreboard, counters,
+ * in-flight MACs, tail inputs, trace events) and writes its MAC
+ * durations at its own instruction indices, so the rounds run on
+ * Runtime's pool like any other run; the engine merges them in
+ * round order, and the EngineReport and trace are bit-identical to
+ * the serial run.
  */
 
 #ifndef AIM_ISA_ENGINE_HH
@@ -111,7 +106,7 @@ struct EngineReport
 class Engine
 {
   public:
-    /** Builds the same execution environment Runtime does. */
+    /** Executes on a sim::Runtime of this configuration. */
     Engine(const pim::PimConfig &cfg, const power::Calibration &cal,
            const sim::RunConfig &rcfg);
 
@@ -129,8 +124,8 @@ class Engine
      *        the trace slots and the scheduledMakespanNs replay;
      *        the physics walk (and run) are unaffected
      * @param pool optional host pool the rounds run on concurrently;
-     *        ignored when @p carry or @p trace is given, and the
-     *        report is bit-identical either way
+     *        only a @p carry makes the run serial, and the report
+     *        and trace are bit-identical either way
      */
     EngineReport
     run(const Program &program, const pim::StreamSpec &stream,
@@ -140,35 +135,8 @@ class Engine
         const Schedule *schedule = nullptr,
         exec::ExecPool *pool = nullptr) const;
 
-    /** The shared execution environment. */
-    const sim::RuntimeEnv &environment() const { return env; }
-
   private:
-    /** What one round's block leaves for the program merge. */
-    struct BlockOut
-    {
-        sim::RunReport run;
-        /** The round's share of the EngineReport counters. */
-        long decoded = 0;
-        long issued = 0;
-        long completed = 0;
-        std::array<long, kOpcodeCount> issuedByOp{};
-        /** Tail-idle inputs: macro ids the round's mapping occupies
-         * and the macro-weighted Set wait on its slowest Set [ns]. */
-        std::vector<int> activeMacros;
-        double setImbalanceNs = 0.0;
-    };
-
-    /** Execute one round's instruction block into @p out; records
-     * the measured MAC durations at the block's own indices of
-     * @p durNs for the timing replay. */
-    void runBlock(const Program &program, size_t round,
-                  const pim::ToggleStats &toggles, uint64_t roundSeed,
-                  std::unique_ptr<power::IrState> *carry,
-                  TraceSink *trace, BlockOut &out,
-                  std::vector<double> &durNs) const;
-
-    sim::RuntimeEnv env;
+    sim::Runtime runtime;
 };
 
 } // namespace aim::isa

@@ -115,15 +115,16 @@ RunReport
 Runtime::run(const std::vector<Round> &rounds,
              const pim::StreamSpec &stream, uint64_t seed,
              std::unique_ptr<power::IrState> *carry,
-             exec::ExecPool *pool) const
+             exec::ExecPool *pool, RoundObserver *observer) const
 {
     const auto toggles =
         pim::estimateToggleStats(stream, env.cfg.rows, 200, seed);
     std::vector<RunReport> parts(rounds.size());
     const auto round = [&](long r) {
         const auto i = static_cast<size_t>(r);
-        parts[i] = runRound(rounds[i], toggles,
-                            seed + static_cast<uint64_t>(r) + 1, carry);
+        parts[i] = runRound(i, rounds[i], toggles,
+                            seed + static_cast<uint64_t>(r) + 1, carry,
+                            observer);
     };
     const auto n = static_cast<long>(rounds.size());
     if (pool && !carry)
@@ -135,9 +136,10 @@ Runtime::run(const std::vector<Round> &rounds,
 }
 
 RunReport
-Runtime::runRound(const Round &round, const pim::ToggleStats &toggles,
-                  uint64_t round_seed,
-                  std::unique_ptr<power::IrState> *carry) const
+Runtime::runRound(size_t index, const Round &round,
+                  const pim::ToggleStats &toggles, uint64_t round_seed,
+                  std::unique_ptr<power::IrState> *carry,
+                  RoundObserver *observer) const
 {
     RunReport rep;
     if (round.tasks.empty())
@@ -175,13 +177,19 @@ Runtime::runRound(const Round &round, const pim::ToggleStats &toggles,
                         env.switchStall);
     WindowStats stats;
 
-    long window = 0;
-    for (; window < env.rcfg.maxWindowsPerRound &&
-           state.anyRemaining();
-         ++window)
+    if (observer)
+        observer->begin(index, state);
+    for (long window = 1; window <= env.rcfg.maxWindowsPerRound &&
+                          state.anyRemaining();
+         ++window) {
         kernel.step(state, *droop, rng, rep, stats);
+        if (observer)
+            observer->window(index, state, window);
+    }
     aim_assert(!state.anyRemaining(), "round did not converge within ",
                env.rcfg.maxWindowsPerRound, " windows");
+    if (observer)
+        observer->end(index, state);
 
     finalizeRoundReport(state, stats, env, rep);
     if (carry)

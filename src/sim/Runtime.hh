@@ -16,7 +16,10 @@
  * The engine itself is decomposed: sim/ChipState holds the round's
  * mutable state, sim/WindowKernel advances one window, and Runtime
  * is the thin orchestrator that maps tasks, loops windows and
- * finalizes reports.
+ * finalizes reports.  Runtime is the only round executor: a
+ * RoundObserver watches its window loop read-only, which is how the
+ * instruction-level engine (src/isa/Engine) runs its scoreboard on
+ * the same physics walk.
  *
  * Without an electrical-state carry a run's rounds are independent:
  * round r reads only the run's shared toggle statistics and its own
@@ -129,9 +132,9 @@ struct WindowStats;
  * everything Runtime::runRound needs that is immutable across
  * rounds -- the V-f table, power model, the per-frequency timing
  * thresholds (the table's one bisection each), the stall widths
- * and the shared droop backend.  Factored out of Runtime so the
- * instruction-level engine (src/isa/Engine) executes against the
- * byte-identical environment instead of re-deriving its own.
+ * and the shared droop backend.  A separate type so a caller can
+ * build (and time) it without a Runtime, e.g. a harness that
+ * replays the window loop call by call.
  */
 struct RuntimeEnv
 {
@@ -154,15 +157,34 @@ struct RuntimeEnv
 };
 
 /**
- * Post-loop round finalization shared by Runtime::runRound and
- * isa::Engine: wall time from the Set clocks, energy -> macro power,
- * the work-weighted level/Rtog/droop means and the effective-TOPS
- * derivation.  @p rep must already carry the loop-accumulated
- * counters (failures, stalls, useful windows, totalMacs).
+ * Post-loop round finalization of Runtime::runRound, public for
+ * callers that replay the window loop themselves: wall time from the
+ * Set clocks, energy -> macro power, the work-weighted
+ * level/Rtog/droop means and the effective-TOPS derivation.  @p rep
+ * must already carry the loop-accumulated counters (failures,
+ * stalls, useful windows, totalMacs).
  */
 void finalizeRoundReport(const ChipState &state,
                          const WindowStats &stats,
                          const RuntimeEnv &env, RunReport &rep);
+
+/**
+ * Read-only subscriber to Runtime's window loop.  For every round
+ * with tasks (an empty round is not observed) Runtime::run calls
+ * begin after the round's setup, window after each window with the
+ * count of windows so far (1, 2, ...), and end once the round has
+ * converged.  The calls of one round are serial; pooled rounds call
+ * from the pool's workers, so an observer keeps per-round state.
+ */
+class RoundObserver
+{
+  public:
+    virtual ~RoundObserver() = default;
+    virtual void begin(size_t round, const ChipState &state) = 0;
+    virtual void window(size_t round, const ChipState &state,
+                        long windowsSoFar) = 0;
+    virtual void end(size_t round, const ChipState &state) = 0;
+};
 
 /** Executes rounds on the modelled chip. */
 class Runtime
@@ -216,11 +238,14 @@ class Runtime
      *        report is bit-identical to the serial run at any thread
      *        count.  A carry chains the rounds, so it makes the run
      *        serial and the pool is ignored.
+     * @param observer optional window-loop subscriber; it cannot
+     *        change a report bit
      */
     RunReport run(const std::vector<Round> &rounds,
                   const pim::StreamSpec &stream, uint64_t seed,
                   std::unique_ptr<power::IrState> *carry,
-                  exec::ExecPool *pool = nullptr) const;
+                  exec::ExecPool *pool = nullptr,
+                  RoundObserver *observer = nullptr) const;
 
     /** Access the V-f table (for reporting). */
     const power::VfTable &vfTable() const { return env.table; }
@@ -231,14 +256,15 @@ class Runtime
         return *env.backend;
     }
 
-    /** The shared execution environment (isa::Engine's substrate). */
+    /** The execution environment the rounds run against. */
     const RuntimeEnv &environment() const { return env; }
 
   private:
-    RunReport runRound(const Round &round,
+    RunReport runRound(size_t index, const Round &round,
                        const pim::ToggleStats &toggles,
                        uint64_t roundSeed,
-                       std::unique_ptr<power::IrState> *carry) const;
+                       std::unique_ptr<power::IrState> *carry,
+                       RoundObserver *observer) const;
 
     RuntimeEnv env;
 };

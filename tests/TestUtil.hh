@@ -2,8 +2,8 @@
  * @file
  * Shared fixtures of the test suites: the zoo-model/options/run-config
  * boilerplate that tests/sim and tests/serve suites previously each
- * carried a private copy of, and the serving suites' finite-trace
- * serve and report comparison.
+ * carried a private copy of, the serving suites' finite-trace serve,
+ * and the bit-for-bit comparisons of run, engine and serve reports.
  *
  * Determinism note: several suites (tests/sim/BackendGoldenTest) pin
  * bit-exact golden numbers to the rounds and streams these helpers
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/Engine.hh"
 #include "sim/Runtime.hh"
 #include "stream/EventLoop.hh"
 
@@ -176,6 +177,44 @@ serveFleet(const serve::FleetConfig &fleet,
     return stream::EventLoop(pim::PimConfig{},
                              power::defaultCalibration(), scfg)
         .run(sharedCache(), trace);
+}
+
+/** Bit-for-bit RunReport comparison (exact ==, not near). */
+inline void
+expectSameRun(const sim::RunReport &a, const sim::RunReport &b)
+{
+    EXPECT_EQ(a.wallTimeNs, b.wallTimeNs);
+    EXPECT_EQ(a.totalMacs, b.totalMacs);
+    EXPECT_EQ(a.tops, b.tops);
+    EXPECT_EQ(a.macroPowerMw, b.macroPowerMw);
+    EXPECT_EQ(a.irWorstMv, b.irWorstMv);
+    EXPECT_EQ(a.irMeanMv, b.irMeanMv);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.stallWindows, b.stallWindows);
+    EXPECT_EQ(a.usefulWindows, b.usefulWindows);
+    EXPECT_EQ(a.vfSwitches, b.vfSwitches);
+    EXPECT_EQ(a.meanLevel, b.meanLevel);
+    EXPECT_EQ(a.meanRtog, b.meanRtog);
+    ASSERT_EQ(a.roundLatencyNs.size(), b.roundLatencyNs.size());
+    for (size_t i = 0; i < a.roundLatencyNs.size(); ++i)
+        EXPECT_EQ(a.roundLatencyNs[i], b.roundLatencyNs[i]) << i;
+}
+
+/** Bit-for-bit EngineReport comparison: the run plus every
+ * instruction-level counter, the tail idle and both makespans. */
+inline void
+expectSameEngine(const isa::EngineReport &a, const isa::EngineReport &b)
+{
+    expectSameRun(a.run, b.run);
+    EXPECT_EQ(a.decoded, b.decoded);
+    EXPECT_EQ(a.issued, b.issued);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.issuedByOp, b.issuedByOp);
+    EXPECT_EQ(a.fusedMacs, b.fusedMacs);
+    EXPECT_EQ(a.tailIdleNs, b.tailIdleNs);
+    EXPECT_EQ(a.inOrderMakespanNs, b.inOrderMakespanNs);
+    EXPECT_EQ(a.scheduledMakespanNs, b.scheduledMakespanNs);
+    EXPECT_EQ(a.scheduleSavedNs, b.scheduleSavedNs);
 }
 
 /**

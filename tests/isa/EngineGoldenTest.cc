@@ -26,27 +26,7 @@ namespace
 {
 
 using test::convRound;
-
-/** Bit-for-bit RunReport comparison (exact ==, not near). */
-void
-expectSameReport(const sim::RunReport &a, const sim::RunReport &b)
-{
-    EXPECT_EQ(a.wallTimeNs, b.wallTimeNs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.tops, b.tops);
-    EXPECT_EQ(a.macroPowerMw, b.macroPowerMw);
-    EXPECT_EQ(a.irWorstMv, b.irWorstMv);
-    EXPECT_EQ(a.irMeanMv, b.irMeanMv);
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.usefulWindows, b.usefulWindows);
-    EXPECT_EQ(a.vfSwitches, b.vfSwitches);
-    EXPECT_EQ(a.meanLevel, b.meanLevel);
-    EXPECT_EQ(a.meanRtog, b.meanRtog);
-    ASSERT_EQ(a.roundLatencyNs.size(), b.roundLatencyNs.size());
-    for (size_t i = 0; i < a.roundLatencyNs.size(); ++i)
-        EXPECT_EQ(a.roundLatencyNs[i], b.roundLatencyNs[i]) << i;
-}
+using test::expectSameRun;
 
 EngineReport
 runEngine(const std::vector<sim::Round> &rounds,
@@ -71,7 +51,7 @@ TEST(IsaEngineGolden, SprintDefaultMatchesRuntimeBitForBit)
     const sim::RunConfig rcfg;
     const sim::RunReport want = test::execute(rounds, rcfg);
     const EngineReport er = runEngine(rounds, rcfg, rcfg.seed);
-    expectSameReport(er.run, want);
+    expectSameRun(er.run, want);
 
     // And against the pinned sprint constants of the golden surface
     // (tests/sim/BackendGoldenTest SprintDefault), so a joint drift
@@ -97,7 +77,7 @@ TEST(IsaEngineGolden, EveryBackendMatchesRuntimeBitForBit)
         const sim::RunReport want =
             test::execute(rounds, rcfg, rcfg.seed);
         const EngineReport er = runEngine(rounds, rcfg, rcfg.seed);
-        expectSameReport(er.run, want);
+        expectSameRun(er.run, want);
     }
 }
 
@@ -111,9 +91,9 @@ TEST(IsaEngineGolden, BoosterOffAndFusionOffStayBitIdentical)
         test::execute(rounds, rcfg, rcfg.seed);
     // Fusion is semantics-preserving: fused and unfused programs
     // both reproduce the runtime bit-for-bit.
-    expectSameReport(
+    expectSameRun(
         runEngine(rounds, rcfg, rcfg.seed, true).run, want);
-    expectSameReport(
+    expectSameRun(
         runEngine(rounds, rcfg, rcfg.seed, false).run, want);
 }
 
@@ -145,8 +125,8 @@ TEST(IsaEngineGolden, TransientCarryMatchesRuntimeCarry)
     const auto en_b =
         engine.run(pb, test::stream(), 6, &en_carry);
 
-    expectSameReport(en_a.run, rt_a);
-    expectSameReport(en_b.run, rt_b);
+    expectSameRun(en_a.run, rt_a);
+    expectSameRun(en_b.run, rt_b);
 }
 
 TEST(IsaEngineGolden, ZooModelsMatchThroughThePipeline)
@@ -163,7 +143,7 @@ TEST(IsaEngineGolden, ZooModelsMatchThroughThePipeline)
         ASSERT_NE(isa.program, nullptr);
         const auto rep_flat = pipe.execute(flat, 12345);
         const auto rep_isa = pipe.execute(isa, 12345);
-        expectSameReport(rep_isa.run, rep_flat.run);
+        expectSameRun(rep_isa.run, rep_flat.run);
         EXPECT_EQ(rep_isa.isaInstructions,
                   static_cast<long>(isa.program->code.size()));
         EXPECT_GT(rep_isa.isaFusedMacs, 0);
@@ -212,7 +192,7 @@ TEST(IsaEngineGolden, EngineIsDeterministicAcrossRuns)
     const sim::RunConfig rcfg;
     const EngineReport a = runEngine(rounds, rcfg, 99);
     const EngineReport b = runEngine(rounds, rcfg, 99);
-    expectSameReport(a.run, b.run);
+    expectSameRun(a.run, b.run);
     EXPECT_EQ(a.issued, b.issued);
     EXPECT_EQ(a.tailIdleNs, b.tailIdleNs);
 }

@@ -28,27 +28,7 @@ namespace
 {
 
 using test::convRound;
-
-/** Bit-for-bit RunReport comparison (exact ==, not near). */
-void
-expectSameReport(const sim::RunReport &a, const sim::RunReport &b)
-{
-    EXPECT_EQ(a.wallTimeNs, b.wallTimeNs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.tops, b.tops);
-    EXPECT_EQ(a.macroPowerMw, b.macroPowerMw);
-    EXPECT_EQ(a.irWorstMv, b.irWorstMv);
-    EXPECT_EQ(a.irMeanMv, b.irMeanMv);
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.usefulWindows, b.usefulWindows);
-    EXPECT_EQ(a.vfSwitches, b.vfSwitches);
-    EXPECT_EQ(a.meanLevel, b.meanLevel);
-    EXPECT_EQ(a.meanRtog, b.meanRtog);
-    ASSERT_EQ(a.roundLatencyNs.size(), b.roundLatencyNs.size());
-    for (size_t i = 0; i < a.roundLatencyNs.size(); ++i)
-        EXPECT_EQ(a.roundLatencyNs[i], b.roundLatencyNs[i]) << i;
-}
+using test::expectSameRun;
 
 /** Per-Set imbalanced round: the heavy Set carries 4x the MACs, so
  * the light Sets retire their windows early. */
@@ -187,7 +167,7 @@ TEST(IsaSchedule, StatsBitIdenticalAcrossBackends)
         // The scheduler only re-times issue slots: the physics walk
         // stays round-atomic and in-order, so every droop/accuracy
         // statistic is bit-identical to the round-level runtime...
-        expectSameReport(er.run, want);
+        expectSameRun(er.run, want);
         // ...while the cost-modelled replay strictly brackets the
         // measured wall time from above.
         EXPECT_GE(er.inOrderMakespanNs, er.run.wallTimeNs);
@@ -216,7 +196,7 @@ TEST(IsaSchedule, BoosterOffAndFusionOffStayBitIdentical)
         const EngineReport er = engine.run(
             prog, test::stream(), rcfg.seed, nullptr, nullptr,
             &sched);
-        expectSameReport(er.run, want);
+        expectSameRun(er.run, want);
         EXPECT_LE(er.scheduledMakespanNs, er.inOrderMakespanNs);
     }
 }
@@ -247,8 +227,8 @@ TEST(IsaSchedule, TransientCarryBitIdenticalUnderScheduling)
     const auto en_b = engine.run(pb, test::stream(), 6, &en_carry,
                                  nullptr, &sb);
 
-    expectSameReport(en_a.run, rt_a);
-    expectSameReport(en_b.run, rt_b);
+    expectSameRun(en_a.run, rt_a);
+    expectSameRun(en_b.run, rt_b);
 }
 
 TEST(IsaSchedule, DefaultIsaPathCarriesNoScheduleOrCosts)
@@ -286,7 +266,7 @@ TEST(IsaSchedule, ZooMakespansShrinkWithBitIdenticalStats)
         const auto flat = pipeline.run(model, flat_opts);
         const auto sched = pipeline.run(model, sched_opts);
         // Scheduling moves timing, never physics.
-        expectSameReport(sched.run, flat.run);
+        expectSameRun(sched.run, flat.run);
         EXPECT_EQ(sched.accuracy.metric, flat.accuracy.metric)
             << model.name;
         // Cost-modelled loads/retunes only ever add to the in-order

@@ -5,10 +5,10 @@
  * field for field -- the per-round latency vector, the per-opcode
  * issue counters, the tail-idle budget and both makespans included --
  * on every droop backend and on zoo artifacts with and without a
- * Schedule.  A carry chains the rounds and a trace sink records the
- * serial event order, so either one makes the run ignore the pool.
- * AimPipeline::execute, which pools its rounds itself, must equal
- * the serial runs of its artifact.
+ * Schedule.  A carry chains the rounds, so it makes the run ignore
+ * the pool; a traced engine run pools and still writes the serial
+ * trace.  AimPipeline::execute, which pools its rounds itself, must
+ * equal the serial runs of its artifact.
  */
 
 #include <sstream>
@@ -29,41 +29,10 @@ namespace
 {
 
 using test::convRound;
+using test::expectSameEngine;
+using test::expectSameRun;
 
 constexpr int kPoolThreads[] = {1, 2, 4};
-
-void
-expectSameRun(const sim::RunReport &a, const sim::RunReport &b)
-{
-    EXPECT_EQ(a.wallTimeNs, b.wallTimeNs);
-    EXPECT_EQ(a.totalMacs, b.totalMacs);
-    EXPECT_EQ(a.tops, b.tops);
-    EXPECT_EQ(a.macroPowerMw, b.macroPowerMw);
-    EXPECT_EQ(a.irWorstMv, b.irWorstMv);
-    EXPECT_EQ(a.irMeanMv, b.irMeanMv);
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.stallWindows, b.stallWindows);
-    EXPECT_EQ(a.usefulWindows, b.usefulWindows);
-    EXPECT_EQ(a.vfSwitches, b.vfSwitches);
-    EXPECT_EQ(a.meanLevel, b.meanLevel);
-    EXPECT_EQ(a.meanRtog, b.meanRtog);
-    EXPECT_EQ(a.roundLatencyNs, b.roundLatencyNs);
-}
-
-void
-expectSameEngine(const isa::EngineReport &a, const isa::EngineReport &b)
-{
-    expectSameRun(a.run, b.run);
-    EXPECT_EQ(a.decoded, b.decoded);
-    EXPECT_EQ(a.issued, b.issued);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.issuedByOp, b.issuedByOp);
-    EXPECT_EQ(a.fusedMacs, b.fusedMacs);
-    EXPECT_EQ(a.tailIdleNs, b.tailIdleNs);
-    EXPECT_EQ(a.inOrderMakespanNs, b.inOrderMakespanNs);
-    EXPECT_EQ(a.scheduledMakespanNs, b.scheduledMakespanNs);
-    EXPECT_EQ(a.scheduleSavedNs, b.scheduleSavedNs);
-}
 
 /** Uneven rounds, an empty one among them. */
 std::vector<sim::Round>
@@ -85,12 +54,18 @@ backendConfig(power::IrBackendKind kind)
     return rcfg;
 }
 
+/** Lowered and fused; @p costed charges the serving-grade load and
+ * retune costs, so a Schedule re-times the trace. */
 isa::Program
 lowered(const std::vector<sim::Round> &rounds,
-        const sim::RunConfig &rcfg)
+        const sim::RunConfig &rcfg, bool costed = false)
 {
     isa::LowerOptions lopts;
     lopts.emitRetune = rcfg.useBooster;
+    if (costed) {
+        lopts.loadNsPerWord = 8.0 * 1000.0 / 1e6; // AimOptions default
+        lopts.retuneNs = 0.5 * 1000.0;
+    }
     isa::Program program = isa::lower(rounds, pim::PimConfig{}, lopts);
     isa::fuseMacShift(program);
     return program;
@@ -223,22 +198,35 @@ TEST(PooledRun, CarryMakesTheRunIgnoreThePool)
               rt_b.irMeanMv);
 }
 
-TEST(PooledRun, TraceSinkMakesTheEngineIgnoreThePool)
+TEST(PooledRun, TracedEngineMatchesTheSerialTrace)
 {
+    // Each round buffers its own trace events and run() emits them in
+    // round order, so a trace does not keep the run off the pool.
     const auto rounds = unevenRounds();
     const sim::RunConfig rcfg = backendConfig(power::IrBackendKind::Mesh);
-    const isa::Program program = lowered(rounds, rcfg);
+    const isa::Program program = lowered(rounds, rcfg, true);
+    const isa::Schedule schedule = isa::scheduleProgram(program);
     const isa::Engine engine(pim::PimConfig{},
                              power::defaultCalibration(), rcfg);
-    std::ostringstream serial_csv, pooled_csv;
-    isa::CsvTrace serial_trace(serial_csv), pooled_trace(pooled_csv);
-    const auto want =
-        engine.run(program, test::stream(), 77, nullptr, &serial_trace);
-    exec::ExecPool pool(4);
-    expectSameEngine(engine.run(program, test::stream(), 77, nullptr,
-                                &pooled_trace, nullptr, &pool),
-                     want);
-    EXPECT_EQ(pooled_csv.str(), serial_csv.str());
+    for (const isa::Schedule *sched :
+         {static_cast<const isa::Schedule *>(nullptr), &schedule}) {
+        std::ostringstream serial_csv;
+        isa::CsvTrace serial_trace(serial_csv);
+        const auto want = engine.run(program, test::stream(), 77,
+                                     nullptr, &serial_trace, sched);
+        for (const int threads : kPoolThreads) {
+            SCOPED_TRACE(std::string(sched ? "scheduled, " : "") +
+                         std::to_string(threads) + " threads");
+            std::ostringstream pooled_csv;
+            isa::CsvTrace pooled_trace(pooled_csv);
+            exec::ExecPool pool(threads);
+            expectSameEngine(engine.run(program, test::stream(), 77,
+                                        nullptr, &pooled_trace, sched,
+                                        &pool),
+                             want);
+            EXPECT_EQ(pooled_csv.str(), serial_csv.str());
+        }
+    }
 }
 
 TEST(PooledRun, ExecuteMatchesSerialRunOnTheSameArtifact)
