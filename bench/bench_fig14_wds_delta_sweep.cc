@@ -6,13 +6,13 @@
  * distribution with *higher*-HR codes and hurt.
  *
  * The 18 delta points are independent reads of the same quantized
- * weights, so they run on an exec::SweepDriver; results come back in
- * delta order and the printed table is identical at any --threads N.
+ * weights, so they run on an exec::ExecPool into delta-indexed slots;
+ * the printed table is identical at any --threads N.
  */
 
 #include "BenchCommon.hh"
 
-#include "exec/SweepDriver.hh"
+#include "exec/ExecPool.hh"
 #include "util/BitOps.hh"
 
 using namespace aim;
@@ -59,13 +59,12 @@ main(int argc, char **argv)
         double rn = 0.0;
         double vit = 0.0;
     };
+    std::vector<Point> points(18);
     exec::ExecPool pool(threads);
-    exec::SweepDriver sweep(pool);
-    const auto points = sweep.run<Point>(18, [&](long delta) {
-        Point p;
+    pool.parallelFor(18, [&](long delta) {
+        Point &p = points[static_cast<size_t>(delta)];
         p.rn = shiftedHr(rn, static_cast<int>(delta)) / rn0;
         p.vit = shiftedHr(vit, static_cast<int>(delta)) / vit0;
-        return p;
     });
 
     double best_rn = 1e9;

@@ -9,13 +9,13 @@
  * Every (model, beta) point is an independent end-to-end pipeline
  * run (the dominant cost of this bench), so the safe-level reference
  * and the 9 beta points of each model run together on an
- * exec::SweepDriver; pass --threads N to use N host workers.  The
- * table is identical at any thread count.
+ * exec::ExecPool into point-indexed slots; pass --threads N to use N
+ * host threads.  The table is identical at any thread count.
  */
 
 #include "BenchCommon.hh"
 
-#include "exec/SweepDriver.hh"
+#include "exec/ExecPool.hh"
 
 using namespace aim;
 using namespace aim::bench;
@@ -31,7 +31,6 @@ main(int argc, char **argv)
     const auto cal = power::defaultCalibration();
     AimPipeline pipe(cfg, cal);
     exec::ExecPool pool(threads);
-    exec::SweepDriver sweep(pool);
     const std::vector<int> betas = {90, 80, 70, 60, 50, 40,
                                     30, 20, 10};
 
@@ -41,8 +40,9 @@ main(int argc, char **argv)
         // Point 0 is the reference: IR-Booster without aggressive
         // adjustment (safe level only), low-power mode as in the
         // paper's framing.  Points 1..N are the beta sweep.
-        const auto reports = sweep.run<AimReport>(
-            static_cast<long>(betas.size()) + 1, [&](long i) {
+        std::vector<AimReport> reports(betas.size() + 1);
+        pool.parallelFor(
+            static_cast<long>(reports.size()), [&](long i) {
                 AimOptions opts;
                 opts.mode = booster::BoostMode::LowPower;
                 opts.workScale = 0.05;
@@ -50,7 +50,7 @@ main(int argc, char **argv)
                     opts.aggressiveAdjustment = false;
                 else
                     opts.beta = betas[static_cast<size_t>(i - 1)];
-                return pipe.run(model, opts);
+                reports[static_cast<size_t>(i)] = pipe.run(model, opts);
             });
 
         const double signoff = cal.staticDropMv + cal.dynDropFullMv;

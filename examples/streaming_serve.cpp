@@ -64,7 +64,6 @@ main(int argc, char **argv)
     scfg.autoscaler.minChips = 2;
     scfg.autoscaler.cooldownUs = 10'000.0;
     scfg.autoscaler.window = 512;
-    scfg.batching = true;
     scfg.maxBatch = 4;
 
     std::printf("streaming %ld diurnal requests at a mean %.0f "

@@ -274,10 +274,10 @@ AimPipeline::execute(const CompiledModel &compiled,
     // The rounds of one request share nothing but the toggle
     // statistics, so they run on a pool this call owns and merge in
     // round order, bit-identically (a trace included).
-    const size_t workers =
+    const size_t threads =
         std::min(compiled.rounds.size(),
                  static_cast<size_t>(exec::ExecPool::resolveThreads(0)));
-    exec::ExecPool pool(workers < 1 ? 1 : static_cast<int>(workers));
+    exec::ExecPool pool(threads < 1 ? 1 : static_cast<int>(threads));
     if (opts.useIsa) {
         aim_assert(compiled.program,
                    "useIsa artifact of ", compiled.modelName,

@@ -279,14 +279,14 @@ class AimPipeline
      * modelled chip and assemble the full report.
      *
      * The artifact's rounds run on an exec::ExecPool this call
-     * creates, with min(rounds, hardware concurrency) workers,
+     * creates, with min(rounds, hardware concurrency) threads,
      * through sim::Runtime::run or isa::Engine::run; the pooled
      * rounds merge in round order, so the report is bit-identical to
      * the serial loop (tests/aim/ExecuteGoldenTest).  A traced run
      * pools too: each round buffers its own events and the trace
      * sink receives them in round order.  The pool is per call,
-     * never the caller's: nested callers (pipelines run inside
-     * SweepDriver workers) only oversubscribe the host.
+     * never the caller's: nested callers (pipelines run as the items
+     * of a sweep's pool) only oversubscribe the host.
      *
      * @param compiled artifact from compile()
      * @param runtimeSeed overrides the runtime noise seed; pass

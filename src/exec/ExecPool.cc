@@ -1,175 +1,119 @@
 #include "exec/ExecPool.hh"
 
-#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <exception>
 
 #include "util/Logging.hh"
 
 namespace aim::exec
 {
 
-namespace
+/** One parallelFor() call: its items and the cursor its pullers share. */
+struct ExecPool::Job
 {
+    const std::function<void(long)> &body;
+    const long n;
+    std::atomic<long> cursor{0};
+    std::exception_ptr error{}; ///< first item exception; guarded by mu
 
-/** The pool the calling thread works for (nullptr off-pool). */
-thread_local const ExecPool *workerOf = nullptr;
+    /** Run items off the cursor until it passes the end. */
+    void
+    pull(std::mutex &mu)
+    {
+        for (;;) {
+            const long i = cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                body(i);
+            } catch (...) {
+                // Park the cursor past the end: no other item starts.
+                cursor.store(n, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(mu);
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+    }
+};
 
-} // namespace
-
-ExecPool::ExecPool(int threads, int queue_bound)
-    : nThreads(resolveThreads(threads)),
-      bound(static_cast<size_t>(queue_bound))
+ExecPool::ExecPool(int threads) : nThreads(resolveThreads(threads))
 {
-    aim_assert(queue_bound >= 1, "queue bound must be >= 1, got ",
-               queue_bound);
-    if (nThreads == 1)
-        return; // inline mode: nothing to spawn
-    workers.reserve(static_cast<size_t>(nThreads));
-    for (int t = 0; t < nThreads; ++t)
+    // The calling thread is the job's first puller.
+    workers.reserve(static_cast<size_t>(nThreads - 1));
+    for (int t = 1; t < nThreads; ++t)
         workers.emplace_back([this] { workerLoop(); });
 }
 
 ExecPool::~ExecPool()
 {
-    if (workers.empty())
-        return;
     {
-        std::unique_lock<std::mutex> lock(mu);
-        cvIdle.wait(lock, [this] { return inFlight == 0; });
+        std::lock_guard<std::mutex> lock(mu);
         stopping = true;
     }
-    cvWork.notify_all();
+    cvJob.notify_all();
     for (auto &w : workers)
         w.join();
-}
-
-bool
-ExecPool::onWorker() const
-{
-    return workerOf == this;
 }
 
 void
 ExecPool::workerLoop()
 {
-    workerOf = this;
+    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cvWork.wait(lock, [this] {
-                return stopping || !queue.empty();
-            });
-            if (queue.empty())
-                return; // stopping and drained
-            task = std::move(queue.front());
-            queue.pop_front();
-        }
-        cvSpace.notify_one();
-        try {
-            task();
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (!firstError)
-                firstError = std::current_exception();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            --inFlight;
-        }
-        cvIdle.notify_all();
+        cvJob.wait(lock,
+                   [&] { return stopping || published != seen; });
+        if (stopping)
+            return;
+        seen = published;
+        if (!job)
+            continue; // the job finished before this worker woke
+        Job &mine = *job;
+        ++inJob;
+        lock.unlock();
+        mine.pull(mu);
+        lock.lock();
+        if (--inJob == 0)
+            cvIdle.notify_one();
     }
-}
-
-void
-ExecPool::post(std::function<void()> task)
-{
-    if (workers.empty()) {
-        // Inline mode: run now, defer any exception to drain() so
-        // 1-thread and N-thread error behaviour match.
-        try {
-            task();
-        } catch (...) {
-            if (!firstError)
-                firstError = std::current_exception();
-        }
-        return;
-    }
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvSpace.wait(lock,
-                     [this] { return queue.size() < bound; });
-        queue.push_back(std::move(task));
-        ++inFlight;
-    }
-    cvWork.notify_one();
-}
-
-void
-ExecPool::drain()
-{
-    aim_assert(!onWorker(), "drain() from inside a task of the same "
-                            "pool waits on itself");
-    std::exception_ptr err;
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        cvIdle.wait(lock, [this] { return inFlight == 0; });
-        err = firstError;
-        firstError = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
 }
 
 void
 ExecPool::parallelFor(long n, const std::function<void(long)> &body)
 {
     aim_assert(n >= 0, "parallelFor needs n >= 0, got ", n);
-    if (n == 0)
-        return;
-    if (workers.empty() || onWorker()) {
+    Job mine{body, n};
+    bool forked = false;
+    if (n > 1 && !workers.empty()) {
+        std::lock_guard<std::mutex> lock(mu);
+        forked = !job;
+        if (forked) {
+            job = &mine;
+            ++published;
+        }
+    }
+    if (!forked) {
+        // Serial pool, one item, or the pool is running a job this
+        // call may be part of: run inline, in index order.
         for (long i = 0; i < n; ++i)
             body(i);
         return;
     }
-    // One pulling task per worker; items come off a shared cursor so
-    // uneven item costs balance dynamically.  An exception parks the
-    // cursor past the end, cancelling the not-yet-started items.
-    auto cursor = std::make_shared<std::atomic<long>>(0);
-    const int pullers =
-        static_cast<int>(std::min<long>(nThreads, n));
-    for (int t = 0; t < pullers; ++t)
-        post([cursor, n, &body] {
-            for (;;) {
-                const long i =
-                    cursor->fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                try {
-                    body(i);
-                } catch (...) {
-                    cursor->store(n, std::memory_order_relaxed);
-                    throw;
-                }
-            }
-        });
-    drain();
-}
-
-void
-ExecPool::parallelFor(
-    long n, uint64_t seed,
-    const std::function<void(const TaskContext &)> &body)
-{
-    parallelFor(n, [seed, &body](long i) {
-        TaskContext ctx;
-        ctx.index = i;
-        ctx.seed = taskSeed(seed, i);
-        body(ctx);
-    });
+    cvJob.notify_all();
+    mine.pull(mu);
+    // Every item has been claimed; the job (on this stack) stays
+    // published until the workers that joined it have left.
+    std::unique_lock<std::mutex> lock(mu);
+    cvIdle.wait(lock, [this] { return inJob == 0; });
+    job = nullptr;
+    lock.unlock();
+    if (mine.error)
+        std::rethrow_exception(mine.error);
 }
 
 uint64_t
@@ -198,13 +142,15 @@ ExecPool::resolveThreads(int requested)
 namespace
 {
 
-/** strtol with a full-token validity check; fatal on junk. */
+/** strtol with a full-token and int-range check; fatal otherwise. */
 int
 parseThreadCount(const char *text)
 {
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(text, &end, 10);
-    aim_assert(end != text && *end == '\0',
+    aim_assert(end != text && *end == '\0' && errno != ERANGE &&
+                   v >= INT_MIN && v <= INT_MAX,
                "--threads expects an integer, got '", text, "'");
     return static_cast<int>(v);
 }

@@ -1,45 +1,44 @@
 /**
  * @file
- * Deterministic work-pool of the simulator.  The hot layers of the
- * repo (fleet serving, parameter sweeps) are embarrassingly parallel
- * over items whose results are pure functions of (inputs, seed), so
- * parallel execution can be made *bit-identical* to the serial run:
- * workers pull item indices from a shared atomic cursor, every item
- * derives its seed from the submission seed and its own index (never
- * from the executing thread), and results land in index-order slots.
- * Which worker computes an item therefore never changes what is
- * computed.
+ * Deterministic fork-join pool of the simulator.  Every parallel call
+ * in the library is one index-space fan-out over items whose results
+ * are pure functions of (inputs, index): a network's layers in LHR
+ * QAT, a request's rounds in sim::Runtime::run, the serving loop's
+ * execute-ahead and sample batches, the sharded (stage, micro-batch)
+ * grid, a bench's sweep points.  So parallel execution can be made
+ * *bit-identical* to the serial run: items are pulled off a shared
+ * atomic cursor, every stochastic item derives its seed from its own
+ * index (taskSeed, never from the executing thread), and results land
+ * in index-order slots.  Which thread computes an item therefore
+ * never changes what is computed.
  *
- * ExecPool is intentionally small:
- *
- *   post()/drain() -- a bounded task queue for irregular work; post
- *       blocks when the queue is full so producers cannot outrun the
- *       workers unboundedly
- *   parallelFor()  -- index-space fan-out with exception propagation
- *       (the first exception thrown by any item is rethrown on the
- *       calling thread once all workers have stopped)
- *   TaskContext    -- per-item index + derived seed for stochastic
- *       items
+ * parallelFor() publishes one job -- the body, n and the cursor -- to
+ * the threads() - 1 parked workers, pulls items on the calling thread
+ * too, and returns when the last puller has left the job.  The first
+ * exception thrown by any item cancels the items not yet started and
+ * is rethrown on the calling thread; the pool stays usable.
  *
  * threads == 1 never spawns: everything runs inline on the calling
- * thread, which is the reference serial schedule that N-thread runs
- * are tested against (tests/serve/ServeGoldenTest).
+ * thread, in index order, which is the reference serial schedule that
+ * N-thread runs are tested against (tests/serve/ServeGoldenTest).  A
+ * single item runs inline too, and leaves the pool free for any
+ * fan-out the item itself issues.
  *
- * A parallelFor() issued from one of the pool's own workers runs its
- * items inline on that worker, in index order, exactly like the
- * 1-thread pool: the pool is already busy, and waiting on it from
- * inside would never return.  So library code may take a caller's
- * pool and fan out on it whether or not the call itself runs inside
- * that pool (serve::RequestExecutor runs a request's rounds on the
- * serving loop's pool at dispatch and serially inside its
- * execute-ahead workers).  drain() from inside a task of the same
- * pool stays forbidden -- it waits for an in-flight count that
- * includes the calling task -- and is fatal.  Pools nest across
- * instances as before: quant::QatTrainer::run trains a network's
- * layers, and AimPipeline::execute runs a request's rounds, on a pool
- * each creates per call, and either may itself run inside another
- * pool's workers (bench_fig18_beta_sweep runs pipelines inside
- * SweepDriver).
+ * A pool runs one job at a time.  A parallelFor() that finds its pool
+ * running a job runs its items inline, in index order, exactly like
+ * the 1-thread pool: the call may come from one of that job's items
+ * (on a worker or on the caller) or from another pool's thread those
+ * items drive, and waiting for the pool from inside its own job would
+ * never return.  So library code may take a
+ * caller's pool and fan out on it whether or not the call itself runs
+ * inside that pool (serve::RequestExecutor runs a request's rounds on
+ * the serving loop's pool at dispatch and serially inside its
+ * execute-ahead items), and pools nest across instances:
+ * quant::QatTrainer::run trains a network's layers, and
+ * AimPipeline::execute runs a request's rounds, on a pool each
+ * creates per call, and either may itself run inside another pool's
+ * items (bench_fig18_beta_sweep runs whole pipelines as sweep
+ * points).
  */
 
 #ifndef AIM_EXEC_EXECPOOL_HH
@@ -47,7 +46,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -56,77 +54,42 @@
 namespace aim::exec
 {
 
-/** What a seeded parallelFor item knows about itself. */
-struct TaskContext
-{
-    /** Item index in [0, n); identical across thread counts. */
-    long index = 0;
-    /**
-     * Seed derived from (submission seed, index) via splitmix-style
-     * mixing -- a pure function of the index, never of the worker, so
-     * stochastic items reproduce bit-for-bit at any thread count.
-     */
-    uint64_t seed = 0;
-};
-
-/** Fixed-size worker pool with a bounded task queue. */
+/** Fixed-size fork-join pool: the caller plus threads() - 1 workers. */
 class ExecPool
 {
   public:
     /**
-     * @param threads worker count; <= 0 resolves to the hardware
-     *        concurrency (min 1).  1 means inline execution -- no
-     *        threads are spawned at all.
-     * @param queueBound max tasks waiting in the post() queue before
-     *        post() blocks the producer (>= 1).
+     * @param threads pullers per job, the calling thread included;
+     *        <= 0 resolves to the hardware concurrency (min 1).  1
+     *        means inline execution -- no threads are spawned at all.
      */
-    explicit ExecPool(int threads = 0, int queueBound = 64);
+    explicit ExecPool(int threads = 0);
 
-    /** Drains outstanding work, then joins the workers. */
+    /** Joins the workers. */
     ~ExecPool();
 
     ExecPool(const ExecPool &) = delete;
     ExecPool &operator=(const ExecPool &) = delete;
 
-    /** Resolved worker count (>= 1). */
+    /** Resolved thread count (>= 1). */
     int threads() const { return nThreads; }
 
     /**
-     * Enqueue one task.  Blocks while the queue holds queueBound
-     * tasks.  With 1 thread the task runs inline before post()
-     * returns.  Task exceptions are captured and rethrown by the
-     * next drain().
-     */
-    void post(std::function<void()> task);
-
-    /**
-     * Wait until every post()ed task has finished.  Rethrows the
-     * first exception any task raised since the last drain().
-     * Fatal when called from inside a task of this pool.
-     */
-    void drain();
-
-    /**
-     * Run body(i) for every i in [0, n), distributing items across
-     * the workers; returns when all items are done.  Items are pulled
-     * from a shared cursor, so the assignment of items to threads is
-     * dynamic -- callers must keep body(i) a pure function of i (plus
-     * read-only shared state) for determinism.  The first exception
-     * thrown by any item is rethrown here after remaining items are
-     * cancelled.  Called from one of this pool's workers, the items
-     * run inline on that worker.
+     * Run body(i) for every i in [0, n); returns when all items are
+     * done.  Items are pulled from a shared cursor, so the assignment
+     * of items to threads is dynamic -- callers must keep body(i) a
+     * pure function of i (plus read-only shared state) for
+     * determinism.  The first exception thrown by any item is
+     * rethrown here after the remaining items are cancelled.  A
+     * single item, or any call while the pool runs a job, runs inline
+     * on the calling thread.
      */
     void parallelFor(long n, const std::function<void(long)> &body);
 
     /**
-     * Seeded variant: body receives a TaskContext whose seed derives
-     * from @p seed and the item index only.
+     * Seed of item @p index of a stochastic fan-out seeded with
+     * @p seed: a pure function of (seed, index), never 0.
      */
-    void parallelFor(long n, uint64_t seed,
-                     const std::function<void(const TaskContext &)>
-                         &body);
-
-    /** The seed a seeded parallelFor item at @p index receives. */
     static uint64_t taskSeed(uint64_t seed, long index);
 
     /** <= 0 or absent request -> hardware concurrency (min 1). */
@@ -138,28 +101,26 @@ class ExecPool
      * threading without disturbing positional arguments.  Returns
      * the resolved thread count: N when given (N <= 0 = hardware
      * concurrency), @p absentDefault when the flag is absent.
-     * Fatal on a malformed (non-integer) value.
+     * Fatal on a value that is not an integer token or does not fit
+     * an int.
      */
     static int stripThreadsFlag(int &argc, char **argv,
                                 int absentDefault = 1);
 
   private:
+    struct Job;
+
     void workerLoop();
 
-    /** Is the calling thread one of this pool's workers? */
-    bool onWorker() const;
-
     int nThreads = 1;
-    size_t bound = 64;
 
     std::mutex mu;
-    std::condition_variable cvWork;  ///< queue became non-empty
-    std::condition_variable cvSpace; ///< queue has room again
-    std::condition_variable cvIdle;  ///< all posted work finished
-    std::deque<std::function<void()>> queue;
-    long inFlight = 0; ///< queued + currently executing tasks
+    std::condition_variable cvJob;  ///< a job was published, or stop
+    std::condition_variable cvIdle; ///< a worker left the job
+    Job *job = nullptr;      ///< the running job; nullptr when idle
+    uint64_t published = 0;  ///< jobs published so far
+    int inJob = 0;           ///< workers inside the running job
     bool stopping = false;
-    std::exception_ptr firstError;
     std::vector<std::thread> workers;
 };
 

@@ -295,7 +295,7 @@ struct ExecResult
  * surfaces the per-request tail-idle overlap budget.  Stateless
  * across run() calls (thread-safe for concurrent use), exactly like
  * the runtimes it wraps.  The serving loop calls it from its
- * execute-ahead workers without a pool, and at dispatch with its own
+ * execute-ahead items without a pool, and at dispatch with its own
  * pool so one request's rounds run concurrently.
  */
 class RequestExecutor

@@ -172,15 +172,13 @@ ShardedRuntime::execute(
         static_cast<size_t>(S) * static_cast<size_t>(M));
     std::optional<exec::ExecPool> own;
     if (!pool)
-        pool = &own.emplace(rcfg.threads == 0 ? -1 : rcfg.threads);
+        pool = &own.emplace(rcfg.threads);
     pool->parallelFor(
         static_cast<long>(grid.size()), [&](long i) {
             const auto s = static_cast<size_t>(i / M);
-            uint64_t cell = exec::ExecPool::taskSeed(seed, i);
-            if (cell == 0)
-                cell = 1;
             grid[static_cast<size_t>(i)] = stageRuntimes[s]->run(
-                microRounds[s], sharded.stages[s].stream, cell);
+                microRounds[s], sharded.stages[s].stream,
+                exec::ExecPool::taskSeed(seed, i));
         });
 
     const InterconnectModel link(rcfg.interconnect);

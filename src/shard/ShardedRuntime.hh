@@ -22,10 +22,11 @@
  *
  * The grid runs over prebuilt per-stage sim::Runtimes.  The serving
  * loop builds a gang model's runtimes once per run
- * (serve::ArtifactMeta) and hands in its own pool: at dispatch the
- * grid fans out on it, and inside one of that pool's execute-ahead
- * workers it runs inline.  The StageEnv form builds the runtimes per
- * call and forwards, so the grid and the pipeline replay exist once.
+ * (serve::ArtifactMeta) and hands in its own pool: at dispatch, or
+ * as the only item of an execute-ahead fan-out, the grid fans out on
+ * it, and inside a fan-out of several it runs inline.  The StageEnv
+ * form builds the runtimes per call and forwards, so the grid and the
+ * pipeline replay exist once.
  */
 
 #ifndef AIM_SHARD_SHARDEDRUNTIME_HH

@@ -174,7 +174,7 @@ void finalizeRoundReport(const ChipState &state,
  * begin after the round's setup, window after each window with the
  * count of windows so far (1, 2, ...), and end once the round has
  * converged.  The calls of one round are serial; pooled rounds call
- * from the pool's workers, so an observer keeps per-round state.
+ * from the pool's threads, so an observer keeps per-round state.
  */
 class RoundObserver
 {

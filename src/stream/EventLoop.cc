@@ -236,7 +236,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
     const serve::Scheduler sched(fcfg.policy);
     const auto executors =
         serve::classExecutors(skus, cfg, cal, fcfg.options);
-    exec::ExecPool exec(fcfg.threads == 0 ? -1 : fcfg.threads);
+    exec::ExecPool exec(fcfg.threads);
     Autoscaler scaler(scfg.autoscaler);
     AdmissionController admission(scfg.admission);
     LatencyWindow window(scfg.autoscaler.window);
@@ -336,8 +336,9 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
         ++pulled;
     };
 
-    // A gang's grid fans out on the loop's pool at dispatch and runs
-    // inline inside an execute-ahead worker of that pool.
+    // A gang's grid fans out on the loop's pool at dispatch or as the
+    // only item of an execute-ahead fan-out, and runs inline inside a
+    // fan-out of several.
     const auto execute_gang = [&](const serve::QueuedRequest &q) {
         shard::ShardRuntimeConfig sc;
         sc.microBatches = meta.gangSpec(q.request.model)->microBatches;
@@ -473,7 +474,7 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
                         latency_us});
     };
 
-    // Dispatch one request (and, with batching, its same-model
+    // Dispatch one request (and, with maxBatch > 1, its same-model
     // followers) on chip c at time now.  Returns false when nothing
     // in the queue is eligible for this chip.
     std::vector<serve::QueuedRequest> batch;
@@ -489,15 +490,14 @@ EventLoop::runFrom(serve::ModelCache &cache, long horizon,
         if (m < 0)
             return false;
 
-        // The batch: the picked head plus (with batching on) the up
-        // to maxBatch-1 requests queued behind it -- its model's
-        // next admissions -- co-dispatched behind one reload/retune.
-        // Gangs never batch.
+        // The batch: the picked head plus the up to maxBatch-1
+        // requests queued behind it -- its model's next admissions --
+        // co-dispatched behind one reload/retune.  Gangs never batch.
         const size_t take =
-            scfg.batching && !pending.at(m, 0).sharded
-                ? std::min(pending.depth(m),
-                           static_cast<size_t>(scfg.maxBatch))
-                : 1;
+            pending.at(m, 0).sharded
+                ? 1
+                : std::min(pending.depth(m),
+                           static_cast<size_t>(scfg.maxBatch));
         if (exact_service)
             for (size_t i = 0; i < take; ++i)
                 if (awaits_report(pending.at(m, i))) {

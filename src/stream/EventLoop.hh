@@ -47,10 +47,11 @@
  * no report yet, the loop pulls the source a fixed multiple of the
  * host thread count ahead and executes every queued or pulled-ahead
  * request of that kind that lacks one in a single exec::ExecPool
- * fan-out, longest predicted service first so the workers finish
- * together; a gang's grid runs inline in its worker.  A request that
- * several classes could host executes at dispatch on the landing
- * chip's class instead, its rounds spread over the same pool
+ * fan-out, longest predicted service first so the threads finish
+ * together; a gang's grid runs inline in its item unless it is the
+ * fan-out's only one.  A request that several classes could host
+ * executes at dispatch on the landing chip's class instead, its
+ * rounds spread over the same pool
  * (Runtime::run / isa::Engine::run), and a gang dispatched without a
  * report fans its grid out there too.  Reports are therefore
  * bit-identical across --threads counts, and requests that admission
@@ -102,10 +103,9 @@ struct StreamConfig
     /**
      * Dynamic batching: when a chip dispatches, co-dispatch up to
      * maxBatch-1 further queued requests of the same model behind
-     * the leader, paying the reload/retune once.
+     * the leader, paying the reload/retune once.  1 = no batching.
      */
-    bool batching = false;
-    int maxBatch = 4;
+    int maxBatch = 1;
     /**
      * 0 = exact service (every request executes on the chip model).
      * K > 0 = sampled service: per model and SKU class, K id-seeded

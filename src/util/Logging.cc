@@ -1,6 +1,5 @@
 #include "util/Logging.hh"
 
-#include <atomic>
 #include <cstdio>
 
 namespace aim::util
@@ -8,8 +7,6 @@ namespace aim::util
 
 namespace
 {
-
-std::atomic<unsigned> warnCounter{0};
 
 const char *
 levelName(LogLevel level)
@@ -32,9 +29,6 @@ logMessage(LogLevel level, const char *file, int line,
     std::fprintf(stderr, "%s: %s (%s:%d)\n", levelName(level),
                  msg.c_str(), file, line);
     switch (level) {
-      case LogLevel::Warn:
-        warnCounter.fetch_add(1, std::memory_order_relaxed);
-        break;
       case LogLevel::Fatal:
         std::exit(1);
       case LogLevel::Panic:
@@ -42,18 +36,6 @@ logMessage(LogLevel level, const char *file, int line,
       default:
         break;
     }
-}
-
-unsigned
-warnCount()
-{
-    return warnCounter.load(std::memory_order_relaxed);
-}
-
-void
-resetWarnCount()
-{
-    warnCounter.store(0, std::memory_order_relaxed);
 }
 
 } // namespace aim::util

@@ -38,12 +38,6 @@ enum class LogLevel
 void logMessage(LogLevel level, const char *file, int line,
                 const std::string &msg);
 
-/** Count of warnings emitted so far (used by tests). */
-unsigned warnCount();
-
-/** Reset the warning counter (used by tests). */
-void resetWarnCount();
-
 namespace detail
 {
 

@@ -1,15 +1,38 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "exec/ExecPool.hh"
-#include "exec/SweepDriver.hh"
 
 using namespace aim::exec;
+
+namespace
+{
+
+/** stripThreadsFlag over {"prog", args...}: (threads, args left). */
+std::pair<int, std::vector<std::string>>
+strip(std::vector<std::string> args, int absent_default = 1)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    int argc = static_cast<int>(argv.size());
+    const int threads =
+        ExecPool::stripThreadsFlag(argc, argv.data(), absent_default);
+    return {threads,
+            std::vector<std::string>(argv.begin() + 1,
+                                     argv.begin() + argc)};
+}
+
+} // namespace
 
 TEST(ExecPool, EmptyIterationSpaceIsANoop)
 {
@@ -17,7 +40,6 @@ TEST(ExecPool, EmptyIterationSpaceIsANoop)
     long calls = 0;
     pool.parallelFor(0, [&](long) { ++calls; });
     EXPECT_EQ(calls, 0);
-    pool.drain(); // nothing pending either
 }
 
 TEST(ExecPool, SingleThreadRunsInlineAndInOrder)
@@ -42,7 +64,7 @@ TEST(ExecPool, EveryIndexRunsExactlyOnce)
 
 TEST(ExecPool, OversubscriptionIsHarmless)
 {
-    // Far more workers than items and than this host has cores.
+    // Far more threads than items and than this host has cores.
     ExecPool pool(32);
     EXPECT_EQ(pool.threads(), 32);
     std::atomic<long> sum{0};
@@ -77,50 +99,28 @@ TEST(ExecPool, ParallelForPropagatesExceptions)
     }
 }
 
-TEST(ExecPool, PostAndDrainRunEverything)
-{
-    ExecPool pool(3, /*queueBound=*/2); // force post() to block
-    std::atomic<long> done{0};
-    for (int i = 0; i < 50; ++i)
-        pool.post([&] { ++done; });
-    pool.drain();
-    EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ExecPool, PostedExceptionSurfacesAtDrain)
-{
-    ExecPool pool(2);
-    pool.post([] { throw std::logic_error("posted"); });
-    EXPECT_THROW(pool.drain(), std::logic_error);
-    pool.drain(); // error is consumed; pool is clean again
-}
-
 TEST(ExecPool, TaskSeedsAreThreadCountInvariant)
 {
-    // The seed handed to an item depends only on (seed, index), so
-    // stochastic sweeps reproduce at any worker count.
+    // An item's seed is a pure function of (seed, index) -- no pool
+    // is involved -- so stochastic fan-outs reproduce at any thread
+    // count.
     const uint64_t seed = 2029;
-    std::vector<uint64_t> serial(64), parallel(64);
-    ExecPool one(1);
-    one.parallelFor(64, seed, [&](const TaskContext &ctx) {
-        serial[ctx.index] = ctx.seed;
-    });
-    ExecPool many(8);
-    many.parallelFor(64, seed, [&](const TaskContext &ctx) {
-        parallel[ctx.index] = ctx.seed;
-    });
-    EXPECT_EQ(serial, parallel);
-    // ... and are pairwise distinct and never the Rng-degenerate 0.
-    std::set<uint64_t> uniq(serial.begin(), serial.end());
-    EXPECT_EQ(uniq.size(), serial.size());
+    std::vector<uint64_t> seeds;
+    for (long i = 0; i < 64; ++i) {
+        seeds.push_back(ExecPool::taskSeed(seed, i));
+        EXPECT_EQ(ExecPool::taskSeed(seed, i), seeds.back());
+    }
+    // ... pairwise distinct and never the Rng-degenerate 0.
+    std::set<uint64_t> uniq(seeds.begin(), seeds.end());
+    EXPECT_EQ(uniq.size(), seeds.size());
     EXPECT_FALSE(uniq.count(0));
 }
 
 TEST(ExecPool, NestedParallelForRunsInlineOnItsWorkers)
 {
     // Every outer item fans out again on the same pool.  The inner
-    // call runs inline on the worker instead of waiting on a pool
-    // whose in-flight count includes its own caller.
+    // call runs inline on the thread running the outer item instead
+    // of waiting on the job that item belongs to.
     const auto f = [](long i, long j) { return i * 1000 + j * j; };
     std::vector<long> serial(8 * 16), nested(8 * 16);
     for (long i = 0; i < 8; ++i)
@@ -133,26 +133,112 @@ TEST(ExecPool, NestedParallelForRunsInlineOnItsWorkers)
     EXPECT_EQ(nested, serial);
 }
 
-TEST(SweepDriver, ResultsComeBackInPointOrder)
+TEST(ExecPool, BackToBackJobsRunEveryIndexOnce)
 {
+    // Thousands of short jobs on one pool: a worker that wakes late
+    // for one job must neither miss the next nor run an index of a
+    // finished one.  The yield gives the workers time to join most
+    // jobs instead of watching the caller finish them alone.
     ExecPool pool(4);
-    SweepDriver sweep(pool);
-    const auto out = sweep.run<long>(100, [](long i) {
-        return i * i;
-    });
-    ASSERT_EQ(out.size(), 100u);
-    for (long i = 0; i < 100; ++i)
-        EXPECT_EQ(out[i], i * i);
+    std::vector<std::atomic<int>> hits(8);
+    for (int job = 0; job < 3000; ++job) {
+        const long n = job % 9;
+        for (auto &h : hits)
+            h = 0;
+        pool.parallelFor(n, [&](long i) {
+            std::this_thread::yield();
+            ++hits[i];
+        });
+        for (long i = 0; i < 8; ++i)
+            ASSERT_EQ(hits[i].load(), i < n ? 1 : 0)
+                << "job " << job << " index " << i;
+    }
 }
 
-TEST(SweepDriver, SeededPointsMatchSerialReference)
+TEST(ExecPool, NestedCallFromTheCallersOwnItemRunsInline)
 {
-    ExecPool serial_pool(1), parallel_pool(6);
-    SweepDriver serial(serial_pool), parallel(parallel_pool);
-    const auto f = [](const TaskContext &ctx) {
-        return static_cast<double>(ctx.seed % 1000) + ctx.index;
-    };
-    const auto a = serial.run<double>(40, 7, f);
-    const auto b = parallel.run<double>(40, 7, f);
-    EXPECT_EQ(a, b);
+    // The calling thread pulls items of its own job; a parallelFor it
+    // issues from one of them runs inline, in index order.  Items on
+    // workers hold until the caller has run one, and the 3 workers
+    // can hold at most 3 of the 8 items, so the caller pulls one.
+    ExecPool pool(4);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> caller_ran{false};
+    std::vector<std::vector<long>> inner(8);
+    pool.parallelFor(8, [&](long i) {
+        const bool on_caller = std::this_thread::get_id() == caller;
+        while (!on_caller && !caller_ran)
+            std::this_thread::yield();
+        pool.parallelFor(16, [&](long j) { inner[i].push_back(j); });
+        if (on_caller)
+            caller_ran = true;
+    });
+    EXPECT_TRUE(caller_ran.load());
+    std::vector<long> in_order(16);
+    for (long j = 0; j < 16; ++j)
+        in_order[j] = j;
+    for (long i = 0; i < 8; ++i)
+        EXPECT_EQ(inner[i], in_order) << "outer item " << i;
+}
+
+TEST(ExecPool, WorkerDrivesSecondPoolThatCallsBackIntoTheFirst)
+{
+    // Items of pool a fan out on pool b, whose items fan out on a
+    // again while a still runs the outer job.  The calls into the
+    // busy pool run inline, so nothing waits on itself.  Items on the
+    // caller hold until a worker of a has driven b, so a worker is
+    // sure to drive it.
+    ExecPool a(4), b(3);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> worker_drove{false};
+    std::vector<std::atomic<int>> hits(8 * 6 * 5);
+    a.parallelFor(8, [&](long i) {
+        const bool on_caller = std::this_thread::get_id() == caller;
+        while (on_caller && !worker_drove)
+            std::this_thread::yield();
+        b.parallelFor(6, [&](long j) {
+            a.parallelFor(5,
+                          [&](long k) { ++hits[(i * 6 + j) * 5 + k]; });
+        });
+        if (!on_caller)
+            worker_drove = true;
+    });
+    EXPECT_TRUE(worker_drove.load());
+    for (size_t c = 0; c < hits.size(); ++c)
+        EXPECT_EQ(hits[c].load(), 1) << "cell " << c;
+}
+
+TEST(ExecPool, StripThreadsFlagParsesAndCompactsArgv)
+{
+    // --threads N between positional arguments.
+    auto [threads, rest] = strip({"24", "--threads", "3", "poisson"});
+    EXPECT_EQ(threads, 3);
+    EXPECT_EQ(rest, (std::vector<std::string>{"24", "poisson"}));
+    // --threads=N.
+    std::tie(threads, rest) = strip({"--threads=5", "bursty"});
+    EXPECT_EQ(threads, 5);
+    EXPECT_EQ(rest, std::vector<std::string>{"bursty"});
+    // Absent: the caller's default, argv untouched.
+    std::tie(threads, rest) = strip({"24", "6000"}, 8);
+    EXPECT_EQ(threads, 8);
+    EXPECT_EQ(rest, (std::vector<std::string>{"24", "6000"}));
+    // 0 and negative mean the hardware concurrency.
+    EXPECT_EQ(strip({"--threads", "0"}).first,
+              ExecPool::resolveThreads(0));
+    EXPECT_EQ(strip({"--threads=-2"}).first,
+              ExecPool::resolveThreads(0));
+}
+
+TEST(ExecPool, StripThreadsFlagRejectsJunkAndOutOfRangeCounts)
+{
+    // Parsing only: no pool is ever built from these values.
+    for (const char *bad : {"4x", "", "9999999999", "4294967297",
+                            "-4294967297", "99999999999999999999"}) {
+        EXPECT_DEATH(strip({"--threads", bad}),
+                     "--threads expects an integer")
+            << "'" << bad << "'";
+        EXPECT_DEATH(strip({std::string("--threads=") + bad}),
+                     "--threads expects an integer")
+            << "'" << bad << "'";
+    }
 }

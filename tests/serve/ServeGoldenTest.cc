@@ -342,7 +342,6 @@ overloadStream(FleetConfig fcfg)
 stream::StreamConfig
 batched(stream::StreamConfig s)
 {
-    s.batching = true;
     s.maxBatch = 4;
     return s;
 }

@@ -165,7 +165,6 @@ TEST(EventLoop, BatchingCoalescesSameModelQueueNeighbours)
     StreamConfig scfg = compatConfig(SchedPolicy::Fcfs, 1,
                                      ArrivalKind::Bursty, 40);
     scfg.trace.meanRatePerSec = 100000.0; // deep queues -> batches
-    scfg.batching = true;
     scfg.maxBatch = 4;
     const auto rep = runStream(scfg);
     EXPECT_EQ(rep.requests, 40);
@@ -173,7 +172,7 @@ TEST(EventLoop, BatchingCoalescesSameModelQueueNeighbours)
     // Followers piggyback on the leader's reload: strictly fewer
     // reload events than the unbatched replay of the same stream.
     StreamConfig unbatched = scfg;
-    unbatched.batching = false;
+    unbatched.maxBatch = 1;
     const auto base = runStream(unbatched);
     double batched_reload = 0.0, base_reload = 0.0;
     for (size_t c = 0; c < rep.chips.size(); ++c) {
