@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -83,15 +84,23 @@ TEST(ExecPool, ParallelForPropagatesExceptions)
 {
     for (int threads : {1, 4}) {
         ExecPool pool(threads);
+        std::atomic<long> ran{0};
         EXPECT_THROW(
             pool.parallelFor(100,
                              [&](long i) {
                                  if (i == 13)
                                      throw std::runtime_error(
                                          "boom");
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(2));
+                                 ++ran;
                              }),
             std::runtime_error)
             << threads << " threads";
+        // The throw cancels the items not yet started: at 2 ms an
+        // item, the other threads would need ~25 ms to run half of
+        // them before the cursor is parked.
+        EXPECT_LT(ran.load(), 50) << threads << " threads";
         // The pool survives the error and accepts further work.
         std::atomic<long> ok{0};
         pool.parallelFor(10, [&](long) { ++ok; });
