@@ -284,27 +284,49 @@ BENCHMARK(BM_PdnMeshTransientStep)->Arg(16)->Arg(24);
 void
 BM_HrAwareAnnealing(benchmark::State &state)
 {
+    // The HR-aware mapper (Algorithm 3).  Arg 0 anneals 48 synthetic
+    // tasks in 6 Sets, which converges within a few steps; Arg 1
+    // anneals ResNet18's first compiled round (64 tasks in 11 Sets)
+    // with the objective and seeds of a default-option execute, which
+    // runs to the step limit like the real rounds do.  The artifact
+    // is compiled once per process.
     pim::PimConfig cfg;
     power::VfTable table(power::defaultCalibration());
     power::PowerModel pm(power::defaultCalibration());
-    mapping::MappingEvaluator eval(cfg, table, pm,
-                                   mapping::Objective::Sprint, 5);
     std::vector<mapping::Task> tasks;
-    util::Rng rng(7);
-    for (int i = 0; i < 48; ++i) {
-        mapping::Task t;
-        t.layerName = "t";
-        t.setId = i / 8;
-        t.hr = rng.uniform(0.2, 0.6);
-        t.macs = 1'000'000;
-        tasks.push_back(t);
+    mapping::Objective objective = mapping::Objective::Sprint;
+    uint64_t seed = 5;
+    if (state.range(0) == 0) {
+        util::Rng rng(7);
+        for (int i = 0; i < 48; ++i) {
+            mapping::Task t;
+            t.layerName = "t";
+            t.setId = i / 8;
+            t.hr = rng.uniform(0.2, 0.6);
+            t.macs = 1'000'000;
+            tasks.push_back(t);
+        }
+    } else {
+        static const CompiledModel art =
+            AimPipeline(cfg, power::defaultCalibration())
+                .compile(workload::modelByName("ResNet18"),
+                         AimOptions{});
+        const sim::RunConfig rcfg = runConfigFor(art.options);
+        tasks = art.rounds.front().tasks;
+        objective = rcfg.boost.mode == booster::BoostMode::Sprint
+                        ? mapping::Objective::Sprint
+                        : mapping::Objective::LowPower;
+        seed = rcfg.seed + 1; // round 0's seed
     }
+    const mapping::MappingEvaluator eval(cfg, table, pm, objective, seed);
     for (auto _ : state) {
-        auto m = mapping::mapHrAware(tasks, cfg, eval);
+        auto m = mapping::mapWith(mapping::MapperKind::HrAware, tasks,
+                                  cfg, eval, seed);
         benchmark::DoNotOptimize(m.taskOfMacro.data());
     }
+    state.SetLabel(state.range(0) == 0 ? "synthetic" : "ResNet18 round 0");
 }
-BENCHMARK(BM_HrAwareAnnealing);
+BENCHMARK(BM_HrAwareAnnealing)->Arg(0)->Arg(1);
 
 /** Many-round synthetic program for the ISA front-end benches. */
 isa::Program

@@ -271,9 +271,9 @@ AimPipeline::execute(const CompiledModel &compiled,
     sim::RunConfig rcfg = runConfigFor(opts);
     if (runtime_seed != 0)
         rcfg.seed = runtime_seed;
-    // The rounds of one request share nothing but the toggle
-    // statistics, so they run on a pool this call owns and merge in
-    // round order, bit-identically (a trace included).
+    // The toggle statistics next to the rounds' mappings, then the
+    // rounds, run on a pool this call owns; the rounds merge in round
+    // order, bit-identically (a trace included).
     const size_t threads =
         std::min(compiled.rounds.size(),
                  static_cast<size_t>(exec::ExecPool::resolveThreads(0)));

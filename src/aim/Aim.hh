@@ -280,9 +280,11 @@ class AimPipeline
      *
      * The artifact's rounds run on an exec::ExecPool this call
      * creates, with min(rounds, hardware concurrency) threads,
-     * through sim::Runtime::run or isa::Engine::run; the pooled
-     * rounds merge in round order, so the report is bit-identical to
-     * the serial loop (tests/aim/ExecuteGoldenTest).  A traced run
+     * through sim::Runtime::run or isa::Engine::run, after a front
+     * job on the same pool that estimates the toggle statistics and
+     * maps every round.  The pooled rounds merge in round order, so
+     * the report is bit-identical to the serial loop
+     * (tests/aim/ExecuteGoldenTest).  A traced run
      * pools too: each round buffers its own events and the trace
      * sink receives them in round order.  The pool is per call,
      * never the caller's: nested callers (pipelines run as the items

@@ -24,7 +24,6 @@ initialALevel(int safe)
       default:
         aim_panic("no Table-1 entry for safe level ", safe);
     }
-    return 60;
 }
 
 int

@@ -29,7 +29,6 @@ opcodeName(Opcode op)
         return "NOP";
     }
     aim_fatal("unknown Opcode ", static_cast<int>(op));
-    return "";
 }
 
 std::array<long, kOpcodeCount>

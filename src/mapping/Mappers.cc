@@ -93,13 +93,13 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
     util::Rng rng(anneal.seed);
 
     // Algorithm 3 line 1: start from the traditional mapping.  Each
-    // candidate is the current mapping with one swap applied in place
-    // (and undone on rejection), scored in buffers the chain owns.
-    Mapping cur = mapSequential(tasks, cfg);
-    EvalScratch scratch;
-    const double s0 = evaluator.evaluate(cur, tasks, scratch).score;
+    // candidate is the current mapping with one swap applied to its
+    // score state (and swapped back on rejection), which rescores
+    // only the two groups and their Sets.
+    ScoreState cur(evaluator, mapSequential(tasks, cfg), tasks);
+    const double s0 = cur.breakdown().score;
     double s_cur = s0;
-    Mapping best = cur;
+    Mapping best = cur.mapping();
     double s_best = s0;
 
     double temp = anneal.t0;
@@ -118,9 +118,9 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
             m2 = static_cast<int>(rng.uniformInt(0, cfg.macros() - 1));
         if (Mapping::groupOf(m2, cfg) == Mapping::groupOf(m1, cfg))
             continue;
-        std::swap(cur.taskOfMacro[m1], cur.taskOfMacro[m2]);
+        cur.swap(m1, m2);
 
-        const double s_new = evaluator.evaluate(cur, tasks, scratch).score;
+        const double s_new = cur.breakdown().score;
         const double delta = s_new - s_cur;
         // Normalized-exponential acceptor (Section 5.6).
         const bool accept =
@@ -130,11 +130,11 @@ mapHrAware(const std::vector<Task> &tasks, const pim::PimConfig &cfg,
             s_cur = s_new;
             rejected = 0;
             if (s_new < s_best) {
-                best.taskOfMacro = cur.taskOfMacro;
+                best.taskOfMacro = cur.mapping().taskOfMacro;
                 s_best = s_new;
             }
         } else {
-            std::swap(cur.taskOfMacro[m1], cur.taskOfMacro[m2]);
+            cur.swap(m1, m2);
             if (++rejected >= anneal.patience)
                 break; // ten consecutive rejections: converged
         }
@@ -163,7 +163,6 @@ mapWith(MapperKind kind, const std::vector<Task> &tasks,
       }
     }
     aim_panic("unknown mapper kind");
-    return {};
 }
 
 } // namespace aim::mapping

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "booster/LevelPolicy.hh"
@@ -35,151 +36,201 @@ ScoreBreakdown
 MappingEvaluator::evaluate(const Mapping &mapping,
                            const std::vector<Task> &tasks) const
 {
-    EvalScratch scratch;
-    return evaluate(mapping, tasks, scratch);
+    return ScoreState(*this, mapping, tasks).breakdown();
 }
 
-ScoreBreakdown
-MappingEvaluator::evaluate(const Mapping &mapping,
-                           const std::vector<Task> &tasks,
-                           EvalScratch &scratch) const
+ScoreState::ScoreState(const MappingEvaluator &evaluator, Mapping mapping,
+                       const std::vector<Task> &tasks)
+    : eval(evaluator), tasks(tasks), map(std::move(mapping))
 {
-    aim_assert(mapping.macros() == cfg.macros(),
+    const pim::PimConfig &cfg = eval.cfg;
+    aim_assert(map.macros() == cfg.macros(),
                "mapping size != chip macros");
 
-    groupWorstHr(mapping, tasks, cfg, scratch.worstHr);
-    const std::vector<double> &worst_hr = scratch.worstHr;
-
-    // Group operating points: the worst task pins the safe level; the
-    // evaluator assumes the initial aggressive level (Table 1), which
-    // is what the group will mostly run at.
-    const auto &cal = table.calibration();
-    std::vector<int> &group_level = scratch.groupLevel;
-    std::vector<power::VfPair> &group_pair = scratch.groupPair;
-    group_level.assign(static_cast<size_t>(cfg.groups), 0);
-    group_pair.assign(static_cast<size_t>(cfg.groups), power::VfPair{});
-    for (int g = 0; g < cfg.groups; ++g) {
-        if (worst_hr[g] <= 0.0)
-            continue; // vacant group: powered down
-        const int safe = table.safeLevelFor(worst_hr[g]);
-        const int level = booster::initialALevel(safe);
-        group_level[g] = level;
-        group_pair[g] = mode == Objective::Sprint
-                            ? table.sprintPair(level)
-                            : table.lowPowerPair(level);
-    }
-
-    // Per-set work and frequency (sets sync to their slowest group),
-    // in dense arrays over the mapped Set ids [lo, hi]: the annealer
-    // evaluates hundreds of candidates per round, so no per-Set node
-    // allocation.  Ascending index is ascending Set id, which fixes
-    // the floating-point accumulation order.
+    // Sets live in dense arrays over the mapped Set ids [lo, hi]:
+    // ascending index is ascending Set id, which fixes the
+    // floating-point accumulation order.  A swap never changes which
+    // tasks are mapped, so the range and each Set's cycles hold for
+    // the state's lifetime.
     int lo = std::numeric_limits<int>::max();
     int hi = std::numeric_limits<int>::min();
-    for (int t : mapping.taskOfMacro) {
+    for (int t : map.taskOfMacro) {
         if (t < 0)
             continue;
         lo = std::min(lo, tasks[t].setId);
         hi = std::max(hi, tasks[t].setId);
     }
-    const size_t sets = hi >= lo ? static_cast<size_t>(hi - lo) + 1 : 0;
-    const size_t groups = static_cast<size_t>(cfg.groups);
-    using SetAcc = EvalScratch::SetAcc;
-    std::vector<SetAcc> &acc = scratch.sets;
-    std::vector<uint8_t> &hosts = scratch.hosts;
-    acc.assign(sets, SetAcc{});
-    hosts.assign(sets * groups, 0);
+    firstSet = lo;
+    const size_t set_count =
+        hi >= lo ? static_cast<size_t>(hi - lo) + 1 : 0;
+    const size_t group_count = static_cast<size_t>(cfg.groups);
+    groups.assign(group_count, GroupTerms{});
+    sets.assign(set_count, SetTerms{});
+    hostCount.assign(set_count * group_count, 0);
     const double macs_per_cycle =
         static_cast<double>(cfg.macsPerMacroPerPass()) / cfg.inputBits;
-    for (int m = 0; m < mapping.macros(); ++m) {
-        const int t = mapping.taskOfMacro[m];
+    for (int m = 0; m < map.macros(); ++m) {
+        const int t = map.taskOfMacro[m];
         if (t < 0)
             continue;
-        const int g = Mapping::groupOf(m, cfg);
-        const size_t k = static_cast<size_t>(tasks[t].setId - lo);
-        SetAcc &a = acc[k];
-        const double cycles =
-            static_cast<double>(tasks[t].macs) / macs_per_cycle;
-        a.cycles = std::max(a.cycles, cycles);
-        const double f = group_pair[g].fGhz;
-        a.freq = a.present ? std::min(a.freq, f) : f;
-        a.present = true;
-        hosts[k * groups + static_cast<size_t>(g)] = 1;
+        const size_t k = setOf(t);
+        SetTerms &s = sets[k];
+        s.cycles = std::max(
+            s.cycles, static_cast<double>(tasks[t].macs) / macs_per_cycle);
+        ++s.tasks;
+        ++hosts(k, Mapping::groupOf(m, cfg));
     }
 
-    // Expected IRFailure stalls: replay the flip sequence; a group
-    // whose worst task exceeds its level stalls every set it hosts.
-    // With w = worst_hr[g] > 0, w * flip > limit is monotone in flip,
-    // so over the sorted sequence the failing flips are a suffix.
-    for (int g = 0; g < cfg.groups; ++g) {
-        if (worst_hr[g] <= 0.0)
+    for (int g = 0; g < cfg.groups; ++g)
+        scoreGroup(g);
+    for (size_t k = 0; k < set_count; ++k)
+        scoreSet(k);
+    reduce();
+}
+
+void
+ScoreState::swap(int m1, int m2)
+{
+    const int g1 = Mapping::groupOf(m1, eval.cfg);
+    const int g2 = Mapping::groupOf(m2, eval.cfg);
+    int &t1 = map.taskOfMacro[m1];
+    int &t2 = map.taskOfMacro[m2];
+    if (t1 >= 0) {
+        --hosts(setOf(t1), g1);
+        ++hosts(setOf(t1), g2);
+    }
+    if (t2 >= 0) {
+        --hosts(setOf(t2), g2);
+        ++hosts(setOf(t2), g1);
+    }
+    std::swap(t1, t2);
+
+    // Only the two groups' terms move, and through them only the Sets
+    // either group hosts after the swap: a Set one of them hosted
+    // before and not after is a moved task's Set, now on the other.
+    scoreGroup(g1);
+    if (g2 != g1)
+        scoreGroup(g2);
+    for (size_t k = 0; k < sets.size(); ++k)
+        if (hosts(k, g1) || hosts(k, g2))
+            scoreSet(k);
+    reduce();
+}
+
+void
+ScoreState::scoreGroup(int g)
+{
+    const pim::PimConfig &cfg = eval.cfg;
+    GroupTerms &gt = groups[static_cast<size_t>(g)];
+    gt = GroupTerms{};
+    // Worst HR pins the safe level; the mean Rtog of the group's tasks
+    // under the flip sequence sets its power.
+    double hr_acc = 0.0;
+    for (int m = g * cfg.macrosPerGroup;
+         m < (g + 1) * cfg.macrosPerGroup; ++m) {
+        const int t = map.taskOfMacro[m];
+        if (t < 0)
             continue;
-        const double w = worst_hr[g];
-        const double limit =
-            static_cast<double>(group_level[g]) / 100.0;
-        const auto first_fail = std::partition_point(
-            flipSeq.begin(), flipSeq.end(),
-            [&](double flip) { return !(w * flip > limit); });
-        const auto failures = flipSeq.end() - first_fail;
-        if (failures == 0)
-            continue;
+        const Task &task = tasks[t];
+        gt.worstHr =
+            std::max(gt.worstHr, task.inputDetermined ? 1.0 : task.hr);
+        hr_acc += task.inputDetermined ? 0.55 : task.hr;
+        ++gt.hosted;
+    }
+    if (gt.worstHr <= 0.0)
+        return; // vacant group: powered down
+
+    // The evaluator assumes the initial aggressive level (Table 1),
+    // which is what the group will mostly run at.
+    const int safe = eval.table.safeLevelFor(gt.worstHr);
+    gt.level = booster::initialALevel(safe);
+    gt.pair = eval.mode == Objective::Sprint
+                  ? eval.table.sprintPair(gt.level)
+                  : eval.table.lowPowerPair(gt.level);
+
+    // Expected IRFailure stalls: replay the flip sequence; the group
+    // stalls every Set it hosts when its worst task exceeds its
+    // level.  With w > 0, w * flip > limit is monotone in flip, so
+    // over the sorted sequence the failing flips are a suffix.
+    const double w = gt.worstHr;
+    const double limit = static_cast<double>(gt.level) / 100.0;
+    const auto &flips = eval.flipSeq;
+    const auto failures =
+        flips.end() -
+        std::partition_point(flips.begin(), flips.end(), [&](double flip) {
+            return !(w * flip > limit);
+        });
+    if (failures > 0) {
         const double stall =
-            static_cast<double>(failures) / flipSeq.size();
-        for (size_t k = 0; k < sets; ++k)
-            if (hosts[k * groups + static_cast<size_t>(g)]) {
-                acc[k].stalls += stall * cal.recomputePenaltyCycles;
-                acc[k].stalled = true;
-            }
+            static_cast<double>(failures) / flips.size();
+        gt.stall = stall * eval.table.calibration().recomputePenaltyCycles;
+        gt.failing = true;
     }
 
-    ScoreBreakdown out;
-    for (const SetAcc &a : acc) {
-        if (!a.present)
+    const double mean_rtog =
+        gt.hosted > 0 ? 0.55 * hr_acc / gt.hosted : 0.0;
+    gt.powerMw = eval.pm.macroPowerMw(gt.pair.v, gt.pair.fGhz, mean_rtog);
+}
+
+void
+ScoreState::scoreSet(size_t k)
+{
+    SetTerms &s = sets[k];
+    if (s.tasks == 0)
+        return;
+    // A Set syncs to its slowest group and takes the stalls of every
+    // failing group hosting it, summed in ascending group order.  The
+    // loop selects instead of branching on which groups host the Set;
+    // the 0.0 a group that does not count adds leaves the sum's bits
+    // unchanged.
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    s.freq = kNone;
+    s.stalls = 0.0;
+    s.stalled = false;
+    for (int g = 0; g < static_cast<int>(groups.size()); ++g) {
+        const bool hosted = hosts(k, g) != 0;
+        const GroupTerms &gt = groups[static_cast<size_t>(g)];
+        s.freq = std::min(s.freq, hosted ? gt.pair.fGhz : kNone);
+        s.stalls += hosted ? gt.stall : 0.0;
+        s.stalled |= hosted && gt.failing;
+    }
+    const double penalty =
+        eval.table.calibration().recomputePenaltyCycles;
+    const double f = std::max(s.freq, 1e-9);
+    const double stall_frac = s.stalled ? s.stalls / penalty : 0.0;
+    const double eff_cycles = s.cycles * (1.0 + stall_frac) + s.stalls;
+    s.time = eff_cycles / f;
+}
+
+void
+ScoreState::reduce()
+{
+    out = ScoreBreakdown{};
+    for (const SetTerms &s : sets) {
+        if (s.tasks == 0)
             continue;
-        const double f = std::max(a.freq, 1e-9);
-        const double stall_frac =
-            a.stalled ? a.stalls / cal.recomputePenaltyCycles : 0.0;
-        const double eff_cycles =
-            a.cycles * (1.0 + stall_frac) + a.stalls;
-        out.makespanCycles =
-            std::max(out.makespanCycles, eff_cycles / f);
-        out.stallCycles += a.stalls;
+        out.makespanCycles = std::max(out.makespanCycles, s.time);
+        out.stallCycles += s.stalls;
     }
 
     // Energy: active groups burn their operating-point power for the
     // time their sets keep them busy.
     double power_acc = 0.0;
     int active_groups = 0;
-    for (int g = 0; g < cfg.groups; ++g) {
-        if (worst_hr[g] <= 0.0)
+    for (const GroupTerms &gt : groups) {
+        if (gt.worstHr <= 0.0)
             continue;
-        // Mean Rtog of the group's tasks under the flip sequence.
-        double hr_acc = 0.0;
-        int hosted = 0;
-        for (int m = g * cfg.macrosPerGroup;
-             m < (g + 1) * cfg.macrosPerGroup; ++m) {
-            const int t = mapping.taskOfMacro[m];
-            if (t < 0)
-                continue;
-            hr_acc += tasks[t].inputDetermined ? 0.55 : tasks[t].hr;
-            ++hosted;
-        }
-        const double mean_rtog =
-            hosted > 0 ? 0.55 * hr_acc / hosted : 0.0;
-        const double p = pm.macroPowerMw(
-            group_pair[g].v, group_pair[g].fGhz, mean_rtog);
-        power_acc += p * hosted;
+        power_acc += gt.powerMw * gt.hosted;
         ++active_groups;
-        out.energy += p * hosted * out.makespanCycles;
+        out.energy += gt.powerMw * gt.hosted * out.makespanCycles;
     }
     out.meanGroupPowerMw =
         active_groups > 0 ? power_acc / active_groups : 0.0;
 
-    out.score = mode == Objective::Sprint
+    out.score = eval.mode == Objective::Sprint
                     ? out.makespanCycles * (1.0 + 1e-6 * out.energy)
                     : out.energy * (1.0 + 0.05 * out.makespanCycles /
                                               (out.makespanCycles + 1.0));
-    return out;
 }
 
 } // namespace aim::mapping

@@ -13,10 +13,15 @@
  *  - an IRFailure in one macro stalls its whole Set for a recompute
  *    window but not other Sets.
  *
- * The evaluator is const and stateless: the simulated-annealing
- * mapper scores hundreds of candidates per round through one
- * evaluator, passing in an EvalScratch it owns so the per-call
- * arrays are reused instead of reallocated.
+ * A score is kept as a ScoreState: the per-group terms (worst HR,
+ * level, V-f pair, failing flips, power, hosted count) and the
+ * per-Set terms (cycles, slowest frequency, stalls, host count per
+ * group) it reduces.  MappingEvaluator::evaluate builds one from
+ * scratch.  The simulated-annealing mapper scores hundreds of
+ * candidate swaps per round on one state: a swap recomputes only the
+ * two groups and the Sets either hosts, then re-reduces every term
+ * in the fixed ascending order, so an updated score equals the
+ * from-scratch score bit for bit.
  */
 
 #ifndef AIM_MAPPING_MAPPINGSCORE_HH
@@ -54,27 +59,6 @@ struct ScoreBreakdown
     double meanGroupPowerMw = 0.0;
 };
 
-/** Buffers MappingEvaluator::evaluate reuses across calls; owned by
- * the caller, so one evaluator serves any number of threads. */
-struct EvalScratch
-{
-    /** Per-Set accumulators over the mapped Set-id range. */
-    struct SetAcc
-    {
-        double cycles = 0.0;
-        double freq = 0.0;
-        double stalls = 0.0;
-        bool present = false; ///< some macro runs a task of this Set
-        bool stalled = false; ///< some group hosting it fails
-    };
-
-    std::vector<double> worstHr;
-    std::vector<int> groupLevel;
-    std::vector<power::VfPair> groupPair;
-    std::vector<SetAcc> sets;
-    std::vector<uint8_t> hosts; ///< [set][group]
-};
-
 /** Deterministic lightweight simulator for mapping evaluation. */
 class MappingEvaluator
 {
@@ -95,15 +79,11 @@ class MappingEvaluator
     ScoreBreakdown evaluate(const Mapping &mapping,
                             const std::vector<Task> &tasks) const;
 
-    /** Score a mapping in @p scratch's buffers; bit-identical to the
-     * two-argument form. */
-    ScoreBreakdown evaluate(const Mapping &mapping,
-                            const std::vector<Task> &tasks,
-                            EvalScratch &scratch) const;
-
     Objective objective() const { return mode; }
 
   private:
+    friend class ScoreState;
+
     pim::PimConfig cfg;
     const power::VfTable &table;
     const power::PowerModel &pm;
@@ -111,6 +91,89 @@ class MappingEvaluator
     /** Pre-sampled 100-step flip fractions (paper Section 5.6),
      * sorted ascending: only their count above a limit is read. */
     std::vector<double> flipSeq;
+};
+
+/**
+ * The score of one mapping, kept as the terms it reduces so that a
+ * swap of two macros rescores in time proportional to the Sets the
+ * two groups host rather than to the chip.
+ */
+class ScoreState
+{
+  public:
+    /**
+     * Score @p mapping of @p tasks from scratch.  @p evaluator and
+     * @p tasks must outlive the state.
+     */
+    ScoreState(const MappingEvaluator &evaluator, Mapping mapping,
+               const std::vector<Task> &tasks);
+
+    /**
+     * Swap the tasks of macros @p m1 and @p m2 (either may be vacant)
+     * and rescore.  The same call again undoes it.
+     */
+    void swap(int m1, int m2);
+
+    /** The current mapping's score. */
+    const ScoreBreakdown &breakdown() const { return out; }
+
+    /** The current mapping. */
+    const Mapping &mapping() const { return map; }
+
+  private:
+    /** Terms of one physical group. */
+    struct GroupTerms
+    {
+        /** Worst task HR (input-determined tiles count as 1.0); a
+         * group at 0 is powered down and scores nothing. */
+        double worstHr = 0.0;
+        int level = 0;
+        power::VfPair pair;
+        /** Stall cycles each hosted Set takes from this group's
+         * failing flips (0 when none fails). */
+        double stall = 0.0;
+        bool failing = false;
+        double powerMw = 0.0;
+        int hosted = 0;
+    };
+
+    /** Terms of one logical Set, indexed by Set id - first id. */
+    struct SetTerms
+    {
+        double cycles = 0.0;
+        /** Frequency of the slowest hosting group. */
+        double freq = 0.0;
+        double stalls = 0.0;
+        bool stalled = false;
+        /** Effective cycles over frequency. */
+        double time = 0.0;
+        /** Mapped tasks of the Set; 0 = not on the chip. */
+        int tasks = 0;
+    };
+
+    void scoreGroup(int g);
+    void scoreSet(size_t k);
+    void reduce();
+    size_t setOf(int task) const
+    {
+        return static_cast<size_t>(tasks[task].setId - firstSet);
+    }
+    int &hosts(size_t set, int group)
+    {
+        return hostCount[set * groups.size() + static_cast<size_t>(group)];
+    }
+
+    const MappingEvaluator &eval;
+    const std::vector<Task> &tasks;
+    Mapping map;
+    /** Smallest mapped Set id. */
+    int firstSet = 0;
+    std::vector<GroupTerms> groups;
+    std::vector<SetTerms> sets;
+    /** Macros of each group running tasks of each Set:
+     * [set * groups + group]. */
+    std::vector<int> hostCount;
+    ScoreBreakdown out;
 };
 
 } // namespace aim::mapping

@@ -26,16 +26,7 @@ std::vector<double>
 groupWorstHr(const Mapping &mapping, const std::vector<Task> &tasks,
              const pim::PimConfig &cfg)
 {
-    std::vector<double> worst;
-    groupWorstHr(mapping, tasks, cfg, worst);
-    return worst;
-}
-
-void
-groupWorstHr(const Mapping &mapping, const std::vector<Task> &tasks,
-             const pim::PimConfig &cfg, std::vector<double> &worst)
-{
-    worst.assign(static_cast<size_t>(cfg.groups), 0.0);
+    std::vector<double> worst(static_cast<size_t>(cfg.groups), 0.0);
     for (int m = 0; m < mapping.macros(); ++m) {
         const int t = mapping.taskOfMacro[m];
         if (t < 0)
@@ -45,6 +36,7 @@ groupWorstHr(const Mapping &mapping, const std::vector<Task> &tasks,
             tasks[t].inputDetermined ? 1.0 : tasks[t].hr;
         worst[g] = std::max(worst[g], hr);
     }
+    return worst;
 }
 
 } // namespace aim::mapping

@@ -60,11 +60,6 @@ std::vector<double> groupWorstHr(const Mapping &mapping,
                                  const std::vector<Task> &tasks,
                                  const pim::PimConfig &cfg);
 
-/** groupWorstHr into a caller-owned buffer (resized to cfg.groups),
- * for callers that score many mappings. */
-void groupWorstHr(const Mapping &mapping, const std::vector<Task> &tasks,
-                  const pim::PimConfig &cfg, std::vector<double> &worst);
-
 } // namespace aim::mapping
 
 #endif // AIM_MAPPING_TASK_HH

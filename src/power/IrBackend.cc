@@ -158,7 +158,6 @@ makeIrBackend(const IrBackendConfig &cfg, const Calibration &cal)
         return memoized(cfg, cal);
     }
     aim_fatal("unknown IrBackendKind ", static_cast<int>(cfg.kind));
-    return nullptr;
 }
 
 } // namespace aim::power

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "exec/ExecPool.hh"
 #include "sim/ChipState.hh"
@@ -117,26 +118,56 @@ Runtime::run(const std::vector<Round> &rounds,
              std::unique_ptr<power::IrState> *carry,
              exec::ExecPool *pool, RoundObserver *observer) const
 {
-    const auto toggles =
-        pim::estimateToggleStats(stream, env.cfg.rows, 200, seed);
-    std::vector<RunReport> parts(rounds.size());
-    const auto round = [&](long r) {
-        const auto i = static_cast<size_t>(r);
-        parts[i] = runRound(i, rounds[i], toggles,
-                            seed + static_cast<uint64_t>(r) + 1, carry,
-                            observer);
+    const auto round_seed = [&](size_t i) {
+        return seed + static_cast<uint64_t>(i) + 1;
     };
-    const auto n = static_cast<long>(rounds.size());
-    if (pool && !carry)
-        pool->parallelFor(n, round);
-    else
-        for (long r = 0; r < n; ++r)
-            round(r);
+    // Without a carry both jobs run on the pool; a carry chains the
+    // rounds, so it runs both serially, in index order.
+    const auto for_each = [&](size_t n,
+                              const std::function<void(long)> &item) {
+        if (pool && !carry)
+            pool->parallelFor(static_cast<long>(n), item);
+        else
+            for (size_t i = 0; i < n; ++i)
+                item(static_cast<long>(i));
+    };
+
+    // The front job: the toggle statistics as item 0, then item r + 1
+    // maps round r's tasks onto macros.  Neither reads the other, and
+    // all of them are fixed before the first window.
+    const auto objective =
+        env.rcfg.boost.mode == booster::BoostMode::Sprint
+            ? mapping::Objective::Sprint
+            : mapping::Objective::LowPower;
+    pim::ToggleStats toggles;
+    std::vector<mapping::Mapping> maps(rounds.size());
+    for_each(rounds.size() + 1, [&](long j) {
+        if (j == 0) {
+            toggles = pim::estimateToggleStats(stream, env.cfg.rows, 200,
+                                               seed);
+            return;
+        }
+        const auto i = static_cast<size_t>(j) - 1;
+        if (rounds[i].tasks.empty())
+            return;
+        const mapping::MappingEvaluator eval(env.cfg, env.table, env.pm,
+                                             objective, round_seed(i));
+        maps[i] = mapping::mapWith(env.rcfg.mapper, rounds[i].tasks,
+                                   env.cfg, eval, round_seed(i));
+    });
+
+    std::vector<RunReport> parts(rounds.size());
+    for_each(rounds.size(), [&](long r) {
+        const auto i = static_cast<size_t>(r);
+        parts[i] = runRound(i, rounds[i], maps[i], toggles, round_seed(i),
+                            carry, observer);
+    });
     return mergeReports(parts);
 }
 
 RunReport
 Runtime::runRound(size_t index, const Round &round,
+                  const mapping::Mapping &map,
                   const pim::ToggleStats &toggles, uint64_t round_seed,
                   std::unique_ptr<power::IrState> *carry,
                   RoundObserver *observer) const
@@ -146,16 +177,6 @@ Runtime::runRound(size_t index, const Round &round,
         return rep;
 
     util::Rng rng(round_seed);
-
-    // Map the round's tasks onto macros.
-    const auto objective =
-        env.rcfg.boost.mode == booster::BoostMode::Sprint
-            ? mapping::Objective::Sprint
-            : mapping::Objective::LowPower;
-    mapping::MappingEvaluator eval(env.cfg, env.table, env.pm,
-                                   objective, round_seed);
-    const mapping::Mapping map = mapWith(
-        env.rcfg.mapper, round.tasks, env.cfg, eval, round_seed);
 
     // Round setup: group / Set bookkeeping, controllers, samplers.
     ChipState state(env.cfg, env.cal, env.table, env.rcfg.boost,

@@ -21,11 +21,16 @@
  * instruction-level engine (src/isa/Engine) runs its scoreboard on
  * the same physics walk.
  *
- * Without an electrical-state carry a run's rounds are independent:
- * round r reads only the run's shared toggle statistics and its own
- * seed (run seed + r + 1).  Runtime::run can therefore execute them
- * on an exec::ExecPool into per-round slots and merge the slots in
- * round order, bit-identically to the serial loop.
+ * Runtime::run runs two jobs.  The front job computes what is fixed
+ * before the first window: the stream's toggle statistics (item 0,
+ * seeded with the run seed) and each non-empty round's mapping (item
+ * r + 1, seeded with the round seed, run seed + r + 1); none of them
+ * reads another.  The round job then runs each round on its
+ * precomputed mapping, reading only the toggle statistics and its
+ * own seed.  Without an electrical-state carry both jobs run on an
+ * exec::ExecPool into per-item slots, and the rounds merge in round
+ * order, bit-identically to the serial loop; a carry runs both
+ * jobs serially, in index order.
  */
 
 #ifndef AIM_SIM_RUNTIME_HH
@@ -233,11 +238,13 @@ class Runtime
      * chip themselves; the carry pointer must not be shared across
      * concurrent calls.
      *
-     * @param pool optional host pool: without a carry the rounds run
-     *        on it concurrently and merge in round order, so the
-     *        report is bit-identical to the serial run at any thread
-     *        count.  A carry chains the rounds, so it makes the run
-     *        serial and the pool is ignored.
+     * @param pool optional host pool: without a carry the front job
+     *        (toggle statistics and round mappings) and then the
+     *        rounds run on it concurrently, and the rounds merge in
+     *        round order, so the report is bit-identical to the
+     *        serial run at any thread count.  A carry chains the
+     *        rounds, so it makes the run serial and the pool is
+     *        ignored.
      * @param observer optional window-loop subscriber; it cannot
      *        change a report bit
      */
@@ -261,6 +268,7 @@ class Runtime
 
   private:
     RunReport runRound(size_t index, const Round &round,
+                       const mapping::Mapping &map,
                        const pim::ToggleStats &toggles,
                        uint64_t roundSeed,
                        std::unique_ptr<power::IrState> *carry,

@@ -1,6 +1,7 @@
 #include "util/Logging.hh"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace aim::util
 {
@@ -28,14 +29,16 @@ logMessage(LogLevel level, const char *file, int line,
 {
     std::fprintf(stderr, "%s: %s (%s:%d)\n", levelName(level),
                  msg.c_str(), file, line);
-    switch (level) {
-      case LogLevel::Fatal:
+}
+
+void
+logAndStop(LogLevel level, const char *file, int line,
+           const std::string &msg)
+{
+    logMessage(level, file, line, msg);
+    if (level == LogLevel::Fatal)
         std::exit(1);
-      case LogLevel::Panic:
-        std::abort();
-      default:
-        break;
-    }
+    std::abort();
 }
 
 } // namespace aim::util

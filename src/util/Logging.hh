@@ -26,8 +26,8 @@ enum class LogLevel
 };
 
 /**
- * Emit a log record to stderr.  Fatal exits with status 1; Panic aborts,
- * which can dump core or enter a debugger.
+ * Emit a log record to stderr and return.  Fatal and Panic records go
+ * through logAndStop, which calls this and then stops.
  *
  * @param level severity class
  * @param file  source file of the call site
@@ -36,6 +36,16 @@ enum class LogLevel
  */
 [[gnu::cold]]
 void logMessage(LogLevel level, const char *file, int line,
+                const std::string &msg);
+
+/**
+ * Emit a Fatal or Panic record to stderr and stop: Fatal exits with
+ * status 1; Panic aborts, which can dump core or enter a debugger.
+ * Never returns, so a function that ends in aim_fatal or aim_panic
+ * needs no return after it.
+ */
+[[noreturn, gnu::cold]]
+void logAndStop(LogLevel level, const char *file, int line,
                 const std::string &msg);
 
 namespace detail
@@ -69,13 +79,13 @@ concat(const Args &...args)
 
 /** Something happened that should never happen: an internal bug. */
 #define aim_panic(...)                                                     \
-    ::aim::util::logMessage(::aim::util::LogLevel::Panic, __FILE__,        \
+    ::aim::util::logAndStop(::aim::util::LogLevel::Panic, __FILE__,        \
                             __LINE__, ::aim::util::detail::concat(         \
                                 __VA_ARGS__))
 
 /** The run cannot continue because of a user-provided condition. */
 #define aim_fatal(...)                                                     \
-    ::aim::util::logMessage(::aim::util::LogLevel::Fatal, __FILE__,        \
+    ::aim::util::logAndStop(::aim::util::LogLevel::Fatal, __FILE__,        \
                             __LINE__, ::aim::util::detail::concat(         \
                                 __VA_ARGS__))
 

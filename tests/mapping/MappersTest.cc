@@ -341,45 +341,72 @@ TEST(MappingEvaluator, ScoreGolden)
     }
 }
 
-TEST(MappingEvaluator, ReusedScratchMatchesFreshBuffers)
+TEST(MappingEvaluator, SwappedStateMatchesFromScratchScore)
 {
-    // The annealer scores every candidate in one EvalScratch.  A
-    // scratch left over from a wider Set range, more stalling groups
-    // or a fuller chip must not leak into the next score: each call
-    // equals the two-argument form, which allocates fresh buffers.
+    // The annealer rescores each candidate by applying its swap to one
+    // ScoreState and swaps back on rejection.  Random swap-and-undo
+    // walks, any two macros (same group and vacant pairs included),
+    // must keep every field equal to a from-scratch evaluate() of the
+    // current mapping: the golden workload (vacant macros, input-
+    // determined tiles, sparse Set ids, stalling groups), one Set
+    // spread over every group, and an all-vacant chip.
     aim::pim::PimConfig cfg;
     const VfTable table{defaultCalibration()};
     const PowerModel pm{defaultCalibration()};
-    const auto wide = goldenTasks();
-    std::vector<Task> narrow(wide.begin(), wide.begin() + 9);
-    for (Task &t : narrow)
-        t.setId = 40 + t.setId % 2;
+    const auto golden = goldenTasks();
+    std::vector<Task> spread = golden;
+    for (size_t i = 0; i < spread.size(); ++i)
+        spread[i].setId = i % 10 == 0 ? 5 : 9;
     const std::vector<Task> none;
     aim::util::Rng rng(5);
     Mapping vacant;
     vacant.taskOfMacro.assign(static_cast<size_t>(cfg.macros()), -1);
     const std::pair<const std::vector<Task> *, Mapping> cases[] = {
-        {&wide, mapRandom(wide, cfg, rng)},
-        {&narrow, mapSequential(narrow, cfg)},
+        {&golden, mapSequential(golden, cfg)},
+        {&golden, mapRandom(golden, cfg, rng)},
+        {&spread, mapRandom(spread, cfg, rng)},
         {&none, vacant},
-        {&wide, mapSequential(wide, cfg)},
-        {&narrow, mapRandom(narrow, cfg, rng)},
     };
+
+    long moved = 0;
     for (const Objective obj : {Objective::Sprint, Objective::LowPower}) {
         const MappingEvaluator eval(cfg, table, pm, obj, 9);
-        EvalScratch scratch;
-        for (int pass = 0; pass < 2; ++pass)
-            for (size_t i = 0; i < std::size(cases); ++i) {
-                const auto &[tasks, m] = cases[i];
-                const ScoreBreakdown got =
-                    eval.evaluate(m, *tasks, scratch);
-                const ScoreBreakdown want = eval.evaluate(m, *tasks);
-                EXPECT_EQ(got.score, want.score) << i;
-                EXPECT_EQ(got.makespanCycles, want.makespanCycles) << i;
-                EXPECT_EQ(got.energy, want.energy) << i;
-                EXPECT_EQ(got.stallCycles, want.stallCycles) << i;
+        for (size_t c = 0; c < std::size(cases); ++c) {
+            const auto &[tasks, start] = cases[c];
+            ScoreState state(eval, start, *tasks);
+            const auto expect_fresh = [&](int step) {
+                const ScoreBreakdown got = state.breakdown();
+                const ScoreBreakdown want =
+                    eval.evaluate(state.mapping(), *tasks);
+                EXPECT_EQ(got.score, want.score) << c << " @" << step;
+                EXPECT_EQ(got.makespanCycles, want.makespanCycles)
+                    << c << " @" << step;
+                EXPECT_EQ(got.energy, want.energy) << c << " @" << step;
+                EXPECT_EQ(got.stallCycles, want.stallCycles)
+                    << c << " @" << step;
                 EXPECT_EQ(got.meanGroupPowerMw, want.meanGroupPowerMw)
-                    << i;
+                    << c << " @" << step;
+            };
+            expect_fresh(-1);
+            for (int step = 0;
+                 step < 300 && !::testing::Test::HasFailure(); ++step) {
+                const int m1 =
+                    static_cast<int>(rng.uniformInt(0, cfg.macros() - 1));
+                const int m2 =
+                    static_cast<int>(rng.uniformInt(0, cfg.macros() - 1));
+                const ScoreBreakdown before = state.breakdown();
+                state.swap(m1, m2);
+                expect_fresh(step);
+                moved += state.breakdown().score != before.score;
+                if (rng.bernoulli(0.5)) {
+                    state.swap(m1, m2);
+                    expect_fresh(step);
+                    EXPECT_EQ(state.breakdown().score, before.score)
+                        << c << " @" << step;
+                }
             }
+            EXPECT_TRUE(state.mapping().valid(tasks->size())) << c;
+        }
     }
+    EXPECT_GT(moved, 100) << "the walks must move the score";
 }

@@ -148,8 +148,8 @@ TEST(ToggleModel, BitSlicedCountMatchesReferenceLoop)
     ASSERT_TRUE(conv.nonNegative);
     ASSERT_FALSE(transformer.nonNegative);
     for (const StreamSpec &zoo : {conv, transformer})
-        for (int bits : {2, 8, 16})
-            for (int rows : {1, 63, 64, 65, 128}) {
+        for (int bits : {2, 3, 8, 9, 15, 16})
+            for (int rows : {1, 63, 64, 65, 128, 255, 256, 300, 513}) {
                 StreamSpec spec = zoo;
                 spec.bits = bits;
                 const ToggleStats got =

@@ -12,6 +12,7 @@
  */
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -79,21 +80,42 @@ constexpr power::IrBackendKind kBackends[] = {
 
 TEST(PooledRun, RuntimeMatchesSerialOnEveryBackend)
 {
+    // The Sequential mapper, then the HR-aware annealer under both
+    // booster modes: the pool runs the front job (toggle statistics
+    // and every round's mapping) and then the rounds.
+    struct MapperCase
+    {
+        const char *name;
+        mapping::MapperKind mapper;
+        booster::BoostMode mode;
+    };
+    constexpr MapperCase kMappers[] = {
+        {"Sequential", mapping::MapperKind::Sequential,
+         booster::BoostMode::Sprint},
+        {"HR-aware Sprint", mapping::MapperKind::HrAware,
+         booster::BoostMode::Sprint},
+        {"HR-aware LowPower", mapping::MapperKind::HrAware,
+         booster::BoostMode::LowPower},
+    };
     const auto rounds = unevenRounds();
-    for (const auto kind : kBackends) {
-        const sim::Runtime rt(pim::PimConfig{},
-                              power::defaultCalibration(),
-                              backendConfig(kind));
-        const auto want = rt.run(rounds, test::stream(), 77);
-        for (const int threads : kPoolThreads) {
-            SCOPED_TRACE(std::string(power::irBackendName(kind)) + ", " +
-                         std::to_string(threads) + " threads");
-            exec::ExecPool pool(threads);
-            expectSameRun(
-                rt.run(rounds, test::stream(), 77, nullptr, &pool),
-                want);
+    for (const auto kind : kBackends)
+        for (const MapperCase &m : kMappers) {
+            sim::RunConfig rcfg = backendConfig(kind);
+            rcfg.mapper = m.mapper;
+            rcfg.boost.mode = m.mode;
+            const sim::Runtime rt(pim::PimConfig{},
+                                  power::defaultCalibration(), rcfg);
+            const auto want = rt.run(rounds, test::stream(), 77);
+            for (const int threads : kPoolThreads) {
+                SCOPED_TRACE(std::string(power::irBackendName(kind)) +
+                             ", " + m.name + ", " +
+                             std::to_string(threads) + " threads");
+                exec::ExecPool pool(threads);
+                expectSameRun(
+                    rt.run(rounds, test::stream(), 77, nullptr, &pool),
+                    want);
+            }
         }
-    }
 }
 
 TEST(PooledRun, EngineMatchesSerialOnEveryBackend)
