@@ -159,24 +159,38 @@ BENCHMARK(BM_PdnMeshFactor)->Arg(16)->Arg(24)->Arg(48);
 void
 BM_RuntimeWindowLoop(benchmark::State &state)
 {
-    // The chip runtime's window engine (sim/WindowKernel) over many
-    // small rounds: covers the per-Runtime vmin hoist and the reused
-    // per-window buffers.  Arg selects the droop backend.
+    // The chip runtime's window engine (sim/WindowKernel).  Args 0-2
+    // run many small rounds on each droop backend: they cover the
+    // per-Runtime vmin hoist and the reused per-window buffers.  Arg 3
+    // runs YOLOv5's first compiled round under the default options
+    // (HR-aware mapping, booster, Analytic droop), the longest round
+    // of an aim_cli-style execute; its artifact is compiled once per
+    // process.  Items are windows.
     pim::PimConfig cfg;
     const auto cal = power::defaultCalibration();
     sim::RunConfig rcfg;
-    rcfg.mapper = mapping::MapperKind::Sequential;
-    rcfg.irBackend = state.range(0) == 0
-                         ? power::IrBackendKind::Analytic
-                     : state.range(0) == 1
-                         ? power::IrBackendKind::Mesh
-                         : power::IrBackendKind::Transient;
-    const sim::Runtime rt(cfg, cal, rcfg);
-    const std::vector<sim::Round> rounds(
-        16, aim::bench::syntheticRound(0.30, 16, 2'000'000));
+    std::vector<sim::Round> rounds;
     pim::StreamSpec stream;
-    stream.density = 0.55;
-    stream.nonNegative = true;
+    if (state.range(0) == 3) {
+        static const CompiledModel art =
+            AimPipeline(cfg, cal).compile(
+                workload::modelByName("YOLOv5"), AimOptions{});
+        rcfg = runConfigFor(art.options);
+        rounds.push_back(art.rounds.front());
+        stream = art.stream;
+    } else {
+        rcfg.mapper = mapping::MapperKind::Sequential;
+        rcfg.irBackend = state.range(0) == 0
+                             ? power::IrBackendKind::Analytic
+                         : state.range(0) == 1
+                             ? power::IrBackendKind::Mesh
+                             : power::IrBackendKind::Transient;
+        rounds.assign(16,
+                      aim::bench::syntheticRound(0.30, 16, 2'000'000));
+        stream.density = 0.55;
+        stream.nonNegative = true;
+    }
+    const sim::Runtime rt(cfg, cal, rcfg);
     long windows = 0;
     for (auto _ : state) {
         const auto rep = rt.run(rounds, stream);
@@ -186,9 +200,10 @@ BM_RuntimeWindowLoop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * windows);
     state.SetLabel(state.range(0) == 0   ? "analytic"
                    : state.range(0) == 1 ? "mesh"
-                                         : "transient");
+                   : state.range(0) == 2 ? "transient"
+                                         : "YOLOv5 round 0");
 }
-BENCHMARK(BM_RuntimeWindowLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RuntimeWindowLoop)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void
 BM_RuntimeRunPooled(benchmark::State &state)

@@ -30,6 +30,7 @@ GroupBooster::step(bool ir_failure, bool set_freq_sync,
                    int set_level_pct)
 {
     const power::VfPair prev_pair = curPair;
+    const int prev_level = curLevel;
     BoostDecision d;
 
     if (ir_failure) {
@@ -67,7 +68,9 @@ GroupBooster::step(bool ir_failure, bool set_freq_sync,
         }
     }
 
-    curPair = pairFor(curLevel);
+    // A level's pair is fixed, so only a level change looks one up.
+    if (curLevel != prev_level)
+        curPair = pairFor(curLevel);
     d.level = curLevel;
     d.pair = curPair;
     d.vfSwitched = !(curPair == prev_pair);

@@ -20,7 +20,7 @@ double
 maxWallNs(const sim::ChipState &state)
 {
     double t = 0.0;
-    for (const auto &[sid, ss] : state.sets)
+    for (const auto &ss : state.sets)
         t = std::max(t, ss.wallNs);
     return t;
 }
@@ -80,13 +80,12 @@ class BlockObserver final : public sim::RoundObserver
             const Instr &instr = program.code[i];
             if (instr.op != Opcode::MacWindow)
                 continue;
-            const auto it = state.sets.find(instr.set);
-            aim_assert(it != state.sets.end(), "MAC_WINDOW targets Set ",
-                       instr.set, " which hosts no tasks");
-            aim_assert(it->second.remaining == instr.windows,
-                       "lowered ", instr.windows, " windows for Set ",
-                       instr.set, " but round ", round, " set up ",
-                       it->second.remaining);
+            const sim::SetState *ss = state.findSet(instr.set);
+            aim_assert(ss, "MAC_WINDOW targets Set ", instr.set,
+                       " which hosts no tasks");
+            aim_assert(ss->remaining == instr.windows, "lowered ",
+                       instr.windows, " windows for Set ", instr.set,
+                       " but round ", round, " set up ", ss->remaining);
         }
         cascade(open(round), state, 0);
     }
@@ -97,17 +96,22 @@ class BlockObserver final : public sim::RoundObserver
         // Retire MAC_WINDOWs whose Set just ran its last pass, at the
         // Set's wall clock: the MAC's replay duration.
         Block &b = blocks[round];
+        bool retired = false;
         for (auto it = b.inflight.begin(); it != b.inflight.end();) {
-            const sim::SetState &ss = state.sets.at(it->first);
+            const sim::SetState &ss = *state.findSet(it->first);
             if (ss.remaining == 0) {
                 durNs[it->second] = ss.wallNs;
                 completeAt(b, it->second, windowsSoFar, ss.wallNs);
                 it = b.inflight.erase(it);
+                retired = true;
             } else {
                 ++it;
             }
         }
-        cascade(b, state, windowsSoFar);
+        // Only a completion changes the scoreboard, so a window that
+        // retired nothing leaves the last fixpoint standing.
+        if (retired)
+            cascade(b, state, windowsSoFar);
     }
 
     void end(size_t round, const sim::ChipState &state) override
@@ -126,7 +130,7 @@ class BlockObserver final : public sim::RoundObserver
             const Instr &instr = program.code[i];
             if (instr.op != Opcode::MacWindow)
                 continue;
-            const sim::SetState &ss = state.sets.at(instr.set);
+            const sim::SetState &ss = *state.findSet(instr.set);
             b.setImbalanceNs += (b.wallNs - ss.wallNs) *
                                 static_cast<double>(instr.macros) /
                                 chipMacros;
@@ -188,10 +192,9 @@ class BlockObserver final : public sim::RoundObserver
                 if (!b.sb->issuable(i))
                     continue;
                 const Instr &instr = program.code[i];
-                const double t =
-                    instr.set >= 0 && state.sets.count(instr.set)
-                        ? state.sets.at(instr.set).wallNs
-                        : maxWallNs(state);
+                const sim::SetState *ss =
+                    instr.set >= 0 ? state.findSet(instr.set) : nullptr;
+                const double t = ss ? ss->wallNs : maxWallNs(state);
                 issueAt(b, i, window, t);
                 if (instr.op == Opcode::MacWindow)
                     b.inflight.emplace(instr.set, i);

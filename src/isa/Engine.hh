@@ -23,7 +23,9 @@
  * Only MAC_WINDOW consumes simulated time; LOAD_WEIGHT, SET_SYNC,
  * RETUNE, SHIFT_ACC, NOP and BARRIER complete at issue, modelling
  * the round setup the round-level runtime performs implicitly at
- * round entry.
+ * round entry.  So only a MAC_WINDOW's retirement can make another
+ * instruction issuable, and the observer re-runs its issue fixpoint
+ * only in a window where one retired.
  *
  * On top of the physics walk the engine replays the program's
  * timing on per-Set lane clocks (isa/Schedule): measured MAC

@@ -87,18 +87,6 @@ RtogSampler::RtogSampler(double hr, ToggleStats stats, util::Rng rng)
 }
 
 double
-RtogSampler::sample()
-{
-    if (stats.burstProb > 0.0 && rng.bernoulli(stats.burstProb)) {
-        const double lo = std::clamp(stats.peak, 0.0, 1.0);
-        return hr * rng.uniform(lo, 1.0);
-    }
-    const double frac =
-        std::clamp(rng.normal(stats.mean, stats.stddev), 0.0, 1.0);
-    return hr * frac;
-}
-
-double
 RtogSampler::mean() const
 {
     return hr * std::clamp(stats.mean, 0.0, 1.0);

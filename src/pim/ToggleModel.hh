@@ -15,6 +15,8 @@
 #ifndef AIM_PIM_TOGGLEMODEL_HH
 #define AIM_PIM_TOGGLEMODEL_HH
 
+#include <algorithm>
+
 #include "pim/InputStream.hh"
 #include "util/Rng.hh"
 
@@ -65,8 +67,21 @@ class RtogSampler
      */
     RtogSampler(double hr, ToggleStats stats, util::Rng rng);
 
-    /** Draw the Rtog of one cycle (clamped to [0, hr]). */
-    double sample();
+    /**
+     * Draw the Rtog of one cycle (clamped to [0, hr]).  Inline: the
+     * window engine draws once per hosted task per window.
+     */
+    double
+    sample()
+    {
+        if (stats.burstProb > 0.0 && rng.bernoulli(stats.burstProb)) {
+            const double lo = std::clamp(stats.peak, 0.0, 1.0);
+            return hr * rng.uniform(lo, 1.0);
+        }
+        const double frac =
+            std::clamp(rng.normal(stats.mean, stats.stddev), 0.0, 1.0);
+        return hr * frac;
+    }
 
     /** Expected cycle Rtog. */
     double mean() const;

@@ -17,6 +17,25 @@ ChipState::ChipState(const pim::PimConfig &cfg,
 {
     groups.resize(static_cast<size_t>(cfg.groups));
 
+    // The Sets the mapping hosts, ascending id.
+    const auto set_of = [&](int t) {
+        return round.tasks[static_cast<size_t>(t)].setId;
+    };
+    std::vector<int> ids;
+    for (const int t : map.taskOfMacro)
+        if (t >= 0)
+            ids.push_back(set_of(t));
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    sets.resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i)
+        sets[i].id = ids[i];
+    const auto set_index = [&](int t) {
+        return static_cast<size_t>(
+            std::lower_bound(ids.begin(), ids.end(), set_of(t)) -
+            ids.begin());
+    };
+
     const auto worst_hr = groupWorstHr(map, round.tasks, cfg);
     for (int g = 0; g < cfg.groups; ++g) {
         auto &gs = groups[static_cast<size_t>(g)];
@@ -27,8 +46,7 @@ ChipState::ChipState(const pim::PimConfig &cfg,
             if (t < 0)
                 continue;
             gs.macros.push_back(m);
-            gs.sets.insert(
-                round.tasks[static_cast<size_t>(t)].setId);
+            gs.sets.push_back(static_cast<int>(set_index(t)));
             gs.samplers.emplace_back(
                 round.tasks[static_cast<size_t>(t)].hr, toggles,
                 rng.fork(static_cast<uint64_t>(m) + 1));
@@ -37,6 +55,9 @@ ChipState::ChipState(const pim::PimConfig &cfg,
         }
         if (gs.macros.empty())
             continue;
+        std::sort(gs.sets.begin(), gs.sets.end());
+        gs.sets.erase(std::unique(gs.sets.begin(), gs.sets.end()),
+                      gs.sets.end());
         gs.active = true;
         activeMacros += static_cast<int>(gs.macros.size());
         gs.safeLevel = input_det
@@ -68,7 +89,7 @@ ChipState::ChipState(const pim::PimConfig &cfg,
         const int t = map.taskOfMacro[static_cast<size_t>(m)];
         if (t < 0)
             continue;
-        auto &ss = sets[round.tasks[static_cast<size_t>(t)].setId];
+        auto &ss = sets[set_index(t)];
         const double scaled = std::max(
             static_cast<double>(
                 round.tasks[static_cast<size_t>(t)].macs),
@@ -76,22 +97,29 @@ ChipState::ChipState(const pim::PimConfig &cfg,
         ss.remaining = std::max(
             ss.remaining,
             static_cast<long>(std::ceil(scaled / macs_per_pass)));
-        ss.groups.insert(mapping::Mapping::groupOf(m, cfg));
+        // Macros ascend, so a Set's groups arrive in ascending order.
+        const int g = mapping::Mapping::groupOf(m, cfg);
+        if (ss.groups.empty() || ss.groups.back() != g)
+            ss.groups.push_back(g);
         ss.macsPerPass += macs_per_pass;
         totalMacs += scaled;
     }
+    unfinished = static_cast<int>(std::count_if(
+        sets.begin(), sets.end(),
+        [](const SetState &ss) { return ss.remaining > 0; }));
 
     for (auto &gs : groups)
         if (gs.active)
             gs.fEff = gs.pair.fGhz;
 }
 
-bool
-ChipState::anyRemaining() const
+const SetState *
+ChipState::findSet(int id) const
 {
-    return std::any_of(sets.begin(), sets.end(), [](const auto &kv) {
-        return kv.second.remaining > 0;
-    });
+    const auto it = std::lower_bound(
+        sets.begin(), sets.end(), id,
+        [](const SetState &ss, int v) { return ss.id < v; });
+    return it != sets.end() && it->id == id ? &*it : nullptr;
 }
 
 std::vector<std::vector<int>>

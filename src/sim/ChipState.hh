@@ -8,14 +8,21 @@
  * mapping-to-group assignment, Set discovery, safe-level derivation,
  * booster/monitor instantiation -- leaving the window engine
  * (sim/WindowKernel) a pure per-window advance over this state.
+ *
+ * Storage is flat: the Sets live in one vector in ascending id, and
+ * group <-> Set membership is index vectors (a group lists the
+ * indices of its Sets in ChipState::sets, a Set the ids of its
+ * groups, both ascending).  Indices rather than pointers keep a
+ * ChipState safe to move, and the window loop touches no tree node.
+ * findSet() maps a Set id to its state by binary search, and
+ * anyRemaining() reads a count of unfinished Sets that the window
+ * kernel keeps.
  */
 
 #ifndef AIM_SIM_CHIPSTATE_HH
 #define AIM_SIM_CHIPSTATE_HH
 
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "booster/GroupBooster.hh"
@@ -36,8 +43,9 @@ struct GroupState
     std::vector<int> macros;
     /** One Rtog sampler per hosted task. */
     std::vector<pim::RtogSampler> samplers;
-    /** Logical Sets with a task in this group. */
-    std::set<int> sets;
+    /** Indices into ChipState::sets of the Sets with a task in this
+     * group, ascending. */
+    std::vector<int> sets;
     int safeLevel = 100;
     power::VfPair pair;
     std::unique_ptr<booster::GroupBooster> boost;
@@ -50,19 +58,31 @@ struct GroupState
      * Constant for the round, so hoisted out of the window loop.
      */
     double meanRtog = 0.0;
+
+    /**
+     * WindowKernel's operating-point cache: the (V, fEff) it was
+     * last refreshed at (0 before the first window) and the energy
+     * of one window there (macro power x hosted macros x window
+     * length).  The monitor's threshold is programmed for opF.
+     */
+    double opV = 0.0;
+    double opF = 0.0;
+    double windowEnergyMwNs = 0.0;
 };
 
 /** Progress bookkeeping of one logical Set. */
 struct SetState
 {
+    /** The Set's id (Task::setId). */
+    int id = 0;
     /** Bit-serial passes still to execute. */
     long remaining = 0;
     /** Stall windows pending (recompute / V-f settle). */
     long stall = 0;
     /** Wall time accumulated by this Set [ns]. */
     double wallNs = 0.0;
-    /** Groups hosting this Set's tasks. */
-    std::set<int> groups;
+    /** Ids of the groups hosting this Set's tasks, ascending. */
+    std::vector<int> groups;
     double macsPerPass = 0.0;
     /**
      * This window's synchronized Set frequency [GHz] (slowest member
@@ -72,6 +92,8 @@ struct SetState
      */
     double freqGhz = 0.0;
 };
+
+class WindowKernel;
 
 /** All mutable state of one round's execution. */
 class ChipState
@@ -93,17 +115,28 @@ class ChipState
               const util::Rng &rng);
 
     /** Any Set still has passes to execute. */
-    bool anyRemaining() const;
+    bool anyRemaining() const { return unfinished > 0; }
+
+    /** The state of Set @p id, or nullptr if no task of the round's
+     * mapping belongs to it. */
+    const SetState *findSet(int id) const;
 
     /** Macro ids hosting tasks, per group (for IrBackend::newEval). */
     std::vector<std::vector<int>> activeMacroIds() const;
 
     std::vector<GroupState> groups;
-    /** Set id -> state, ascending id (iteration order matters). */
-    std::map<int, SetState> sets;
+    /** Per-Set state, ascending id (iteration order matters). */
+    std::vector<SetState> sets;
     int activeMacros = 0;
     /** Total useful MACs of the round (RunReport::totalMacs). */
     double totalMacs = 0.0;
+
+  private:
+    friend class WindowKernel;
+
+    /** Sets with passes remaining; WindowKernel::step counts a Set
+     * off when its last pass runs. */
+    int unfinished = 0;
 };
 
 } // namespace aim::sim

@@ -65,7 +65,7 @@ void
 finalizeRoundReport(const ChipState &state, const WindowStats &stats,
                     const RuntimeEnv &env, RunReport &rep)
 {
-    for (const auto &[sid, ss] : state.sets)
+    for (const auto &ss : state.sets)
         rep.wallTimeNs = std::max(rep.wallTimeNs, ss.wallNs);
     double energy = 0.0;
     for (const auto &gs : state.groups)

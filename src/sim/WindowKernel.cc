@@ -21,6 +21,23 @@ WindowKernel::WindowKernel(const pim::PimConfig &cfg,
 }
 
 void
+WindowKernel::refresh(GroupState &gs) const
+{
+    // The monitor threshold depends on fEff alone, so a V-only move
+    // keeps it.
+    if (useBooster && gs.fEff != gs.opF)
+        gs.monitor->setThreshold(vminByF.at(gs.fEff) -
+                                 cal.monitorGuardMv / 1000.0);
+    const double window_ns =
+        static_cast<double>(cfg.inputBits) / gs.fEff;
+    gs.windowEnergyMwNs =
+        pm.macroPowerMw(gs.pair.v, gs.fEff, gs.meanRtog) *
+        gs.samplers.size() * window_ns;
+    gs.opV = gs.pair.v;
+    gs.opF = gs.fEff;
+}
+
+void
 WindowKernel::step(ChipState &state, power::IrEval &eval,
                    util::Rng &rng, RunReport &rep,
                    WindowStats &stats)
@@ -37,6 +54,10 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
             gw.active = false;
             continue;
         }
+        // Only a state's first window finds its cache unset: every
+        // later (V, fEff) move is caught where it happens, below.
+        if (gs.pair.v != gs.opV || gs.fEff != gs.opF)
+            refresh(gs);
         double worst_rtog = 0.0;
         double mean_rtog = 0.0;
         for (auto &sampler : gs.samplers) {
@@ -68,8 +89,6 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
         bool failure = false;
         if (useBooster) {
             const double veff = gs.pair.v - drop / 1000.0;
-            gs.monitor->setThreshold(vminByF.at(gs.fEff) -
-                                     cal.monitorGuardMv / 1000.0);
             failure = gs.monitor->sample(veff).irFailure;
 
             // Frequency sync from the Set resets the safe counter
@@ -85,14 +104,14 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
             if (failure) {
                 ++rep.failures;
                 for (int s : gs.sets) {
-                    auto &ss = state.sets.at(s);
+                    auto &ss = state.sets[static_cast<size_t>(s)];
                     ss.stall = std::max(ss.stall, recomputeStall);
                 }
             }
             if (dec.vfSwitched) {
                 ++rep.vfSwitches;
                 for (int s : gs.sets) {
-                    auto &ss = state.sets.at(s);
+                    auto &ss = state.sets[static_cast<size_t>(s)];
                     ss.stall = std::max(ss.stall, switchStall);
                 }
             }
@@ -107,7 +126,7 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
 
     // Set frequencies: each Set runs at its slowest group; a group
     // hosting several Sets clocks at the lowest demand.
-    for (auto &[sid, ss] : state.sets) {
+    for (auto &ss : state.sets) {
         double f = 1e9;
         for (int g : ss.groups)
             f = std::min(f,
@@ -121,19 +140,17 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
             continue;
         double f = gs.pair.fGhz;
         for (int s : gs.sets)
-            f = std::min(f, state.sets.at(s).freqGhz);
+            f = std::min(f, state.sets[static_cast<size_t>(s)].freqGhz);
         gs.fEff = f;
 
         // Window energy at the group's operating point.
-        const double window_ns =
-            static_cast<double>(cfg.inputBits) / gs.fEff;
-        gs.energyMwNs +=
-            pm.macroPowerMw(gs.pair.v, gs.fEff, gs.meanRtog) *
-            gs.samplers.size() * window_ns;
+        if (gs.pair.v != gs.opV || gs.fEff != gs.opF)
+            refresh(gs);
+        gs.energyMwNs += gs.windowEnergyMwNs;
     }
 
     // Set progress.
-    for (auto &[sid, ss] : state.sets) {
+    for (auto &ss : state.sets) {
         if (ss.remaining == 0)
             continue;
         const double f = ss.freqGhz;
@@ -144,7 +161,8 @@ WindowKernel::step(ChipState &state, power::IrEval &eval,
             --ss.stall;
             ++rep.stallWindows;
         } else {
-            --ss.remaining;
+            if (--ss.remaining == 0)
+                --state.unfinished;
             ++rep.usefulWindows;
             stats.usefulFreqSum += f;
         }

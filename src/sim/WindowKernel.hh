@@ -13,6 +13,21 @@
  * heap allocation; droop evaluation goes through the pluggable
  * IrEval, so the same engine runs the Equation-2 analytic model or
  * the PDN-mesh layout model unchanged.
+ *
+ * A step does only the draws and arithmetic the model defines.  What
+ * depends on a group's operating point alone is cached in its
+ * GroupState and refreshed only when that point moves:
+ *   - the monitor threshold (the vminByF lookup and setThreshold)
+ *     when the group's fEff changes;
+ *   - the energy of one window (macro power x hosted macros x window
+ *     length) when its (V, fEff) changes.
+ * The refresh runs where fEff is set, after the Set sync, so after
+ * every step the monitor is programmed for the current fEff; a
+ * state's first step fills the cache before it samples.  Every value
+ * is the one the uncached expression gives, so no report bit moves.
+ * The booster looks its V-f pair up only when its level changes
+ * (booster/GroupBooster), and the Sets and their membership are flat
+ * index vectors (sim/ChipState).
  */
 
 #ifndef AIM_SIM_WINDOWKERNEL_HH
@@ -63,6 +78,11 @@ class WindowKernel
               RunReport &rep, WindowStats &stats);
 
   private:
+    /** Recompute @p gs's operating-point cache at its current
+     * (V, fEff): the monitor threshold when fEff moved, and the
+     * window energy. */
+    void refresh(GroupState &gs) const;
+
     const pim::PimConfig &cfg;
     const power::Calibration &cal;
     const power::PowerModel &pm;

@@ -1,6 +1,9 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "booster/GroupBooster.hh"
+#include "util/Rng.hh"
 
 using namespace aim::booster;
 using aim::power::VfTable;
@@ -192,3 +195,65 @@ TEST_P(BetaSweep, PromotionCadenceScalesWithBeta)
 
 INSTANTIATE_TEST_SUITE_P(Cadence, BetaSweep,
                          ::testing::Values(10, 20, 50, 90));
+
+TEST(GroupBooster, RandomWalkDecisionsCarryTheirLevelsPair)
+{
+    // The booster looks a pair up only when its level moves.  Over a
+    // random walk of failures, Set syncs to any level with pairs and
+    // quiet windows, in both modes, with and without aggressive
+    // adjustment, every decision must still carry its level's pair,
+    // and vfSwitched must say exactly whether the pair moved.
+    Fixture f;
+    std::vector<int> sync_levels;
+    for (const int l : f.table.levels())
+        if (!f.table.pairsAt(l).empty())
+            sync_levels.push_back(l);
+    ASSERT_FALSE(sync_levels.empty());
+    for (const auto mode : {BoostMode::Sprint, BoostMode::LowPower}) {
+        for (const bool aggressive : {true, false}) {
+            for (const int safe : {100, 60, 40, 25}) {
+                SCOPED_TRACE(testing::Message()
+                             << (mode == BoostMode::Sprint ? "sprint"
+                                                           : "low power")
+                             << (aggressive ? ", aggressive" : "")
+                             << ", safe " << safe);
+                auto gb = f.make(safe, 10, mode, aggressive);
+                const auto pair_of = [&](int level) {
+                    return mode == BoostMode::Sprint
+                               ? f.table.sprintPair(level)
+                               : f.table.lowPowerPair(level);
+                };
+                aim::util::Rng rng(static_cast<uint64_t>(safe) * 7 +
+                                   (aggressive ? 1 : 0));
+                aim::power::VfPair prev = gb.pair();
+                ASSERT_EQ(prev, pair_of(gb.level()));
+                long switches = 0;
+                long syncs = 0;
+                for (int i = 0; i < 4000; ++i) {
+                    const bool fail = rng.bernoulli(0.04);
+                    const bool sync = rng.bernoulli(0.08);
+                    const int level = sync_levels[static_cast<size_t>(
+                        rng.uniformInt(
+                            0, static_cast<int64_t>(sync_levels.size()) -
+                                   1))];
+                    const auto d = gb.step(fail, sync, level);
+                    syncs += sync && !fail;
+                    ASSERT_EQ(d.level, gb.level()) << "step " << i;
+                    ASSERT_EQ(d.pair, pair_of(d.level)) << "step " << i;
+                    ASSERT_EQ(d.pair, gb.pair()) << "step " << i;
+                    ASSERT_EQ(d.vfSwitched, !(d.pair == prev))
+                        << "step " << i;
+                    switches += d.vfSwitched;
+                    prev = d.pair;
+                }
+                EXPECT_GT(gb.failures(), 0);
+                EXPECT_GT(syncs, 0);
+                EXPECT_GT(switches, 0);
+                if (aggressive) {
+                    EXPECT_GT(gb.promotions(), 0);
+                    EXPECT_GT(gb.demotions(), 0);
+                }
+            }
+        }
+    }
+}

@@ -65,9 +65,10 @@ TEST(Trace, SortedDenseAndSloTagged)
         for (size_t i = 0; i < trace.size(); ++i) {
             EXPECT_EQ(trace[i].id, static_cast<long>(i));
             EXPECT_GT(trace[i].sloUs, 0.0);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GE(trace[i].arrivalUs,
                           trace[i - 1].arrivalUs);
+            }
         }
     }
 }
