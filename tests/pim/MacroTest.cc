@@ -28,7 +28,7 @@ randomLayer(int out, int in, uint64_t seed)
 {
     aim::util::Rng rng(seed);
     QuantizedLayer layer;
-    layer.name = "t";
+    layer.name = std::string("t");
     layer.scale = 1.0;
     layer.bits = 8;
     layer.rows = out;

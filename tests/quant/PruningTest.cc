@@ -17,7 +17,7 @@ gaussianLayer(int rows, int cols, uint64_t seed)
 {
     aim::util::Rng rng(seed);
     FloatLayer layer;
-    layer.name = "p";
+    layer.name = std::string("p");
     layer.rows = rows;
     layer.cols = cols;
     layer.weights.resize(static_cast<size_t>(rows) * cols);

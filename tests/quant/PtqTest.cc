@@ -17,7 +17,7 @@ makeNetwork(int layers, int rows, int cols, uint64_t seed)
     std::vector<FloatLayer> net;
     for (int l = 0; l < layers; ++l) {
         FloatLayer layer;
-        layer.name = "l" + std::to_string(l);
+        layer.name = std::string("l").append(std::to_string(l));
         layer.rows = rows;
         layer.cols = cols;
         layer.weights.resize(static_cast<size_t>(rows) * cols);

@@ -77,8 +77,8 @@ TEST(QatLhr, ReducesHrMax)
     std::vector<FloatLayer> lhr_layers;
     for (int i = 0; i < 4; ++i) {
         base_layers.push_back(
-            gaussianLayer("l" + std::to_string(i), 32, 64,
-                          0.02 + 0.02 * i, 10 + i));
+            gaussianLayer(std::string("l").append(std::to_string(i)),
+                          32, 64, 0.02 + 0.02 * i, 10 + i));
         lhr_layers.push_back(base_layers.back());
     }
     const QatResult base = quantizeBaseline(base_layers, 8);

@@ -18,7 +18,7 @@ syntheticModel(int layers, long hugeAt = -1, int hugeScale = 10)
     m.stream.bits = 8;
     for (int i = 0; i < layers; ++i) {
         LayerSpec l;
-        l.name = "l" + std::to_string(i);
+        l.name = std::string("l").append(std::to_string(i));
         l.type = OpType::Linear;
         l.outChannels = 256;
         l.reduction = 256;

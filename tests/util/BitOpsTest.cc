@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/BitOps.hh"
+#include "util/Rng.hh"
 
 using namespace aim::util;
 
@@ -87,4 +91,50 @@ TEST(BitOps, BitMask)
     EXPECT_EQ(bitMask(8), 0xFFu);
     EXPECT_EQ(bitMask(4), 0xFu);
     EXPECT_EQ(bitMask(32), 0xFFFFFFFFu);
+}
+
+namespace
+{
+
+/** The reference the inline popcount must match. */
+int
+popcountRef(int64_t v, int q)
+{
+    return std::popcount(static_cast<uint32_t>(v) & bitMask(q));
+}
+
+} // namespace
+
+TEST(BitOps, PopcountTcMatchesStdPopcountExhaustive)
+{
+    // Every value of the 17-bit signed range at every width a
+    // quantizer supports.
+    for (int q = 2; q <= 16; ++q) {
+        long mismatches = 0;
+        int64_t first = 0;
+        for (int64_t v = -(int64_t{1} << 16); v < (int64_t{1} << 16);
+             ++v)
+            if (popcountTc(v, q) != popcountRef(v, q) &&
+                mismatches++ == 0)
+                first = v;
+        EXPECT_EQ(mismatches, 0) << "q = " << q << ", first v = "
+                                 << first;
+    }
+}
+
+TEST(BitOps, PopcountTcMatchesStdPopcountRandom64)
+{
+    // Whole 64-bit words: negative values and values above 2^32 keep
+    // only their low q bits.
+    Rng rng(2025);
+    for (int i = 0; i < 20000; ++i) {
+        const auto v = static_cast<int64_t>(rng.next());
+        for (int q = 2; q <= 32; ++q)
+            ASSERT_EQ(popcountTc(v, q), popcountRef(v, q))
+                << "v = " << v << ", q = " << q;
+    }
+    EXPECT_EQ(popcountTc(int64_t{1} << 40, 16), 0);
+    EXPECT_EQ(popcountTc((int64_t{1} << 40) | 0xff, 8), 8);
+    EXPECT_EQ(popcountTc(INT64_MIN, 32), 0);
+    EXPECT_EQ(popcountTc(-1, 32), 32);
 }
