@@ -4,8 +4,8 @@
  * the bit-serial MAC + Rtog engine, the HR kernel, the normal
  * sampler, toggle-statistics estimation, Equation 5's interpolated
  * HR, the PDN mesh factor, solve and transient step, the window loop
- * serially and round-parallel on a pool, one pipeline execute, the
- * runtime environment build, the annealing mapper, and the ISA front
+ * serially and round-parallel on a pool, one pipeline execute and one
+ * compile, the runtime environment build, the annealing mapper, and the ISA front
  * end (lowering, scoreboard issue walk, list scheduling).
  */
 
@@ -252,6 +252,39 @@ BM_AimExecute(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AimExecute)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_AimCompile(benchmark::State &state)
+{
+    // One cold AimPipeline::compile.  /0: ResNet18 under the default
+    // options (LHR QAT, WDS, the aim_cli flow).  /1: GPT2 under the
+    // serving options of perfbench's exact_hetero (LHR off, workScale
+    // 0.05, Sequential mapper, Transient droop, the scheduled ISA
+    // path).  Real time, because synthesis, quantization, WDS and
+    // tiling each run on a pool the compile creates.
+    const AimPipeline pipe(pim::PimConfig{}, power::defaultCalibration());
+    AimOptions opts;
+    std::string name = "ResNet18";
+    if (state.range(0) == 1) {
+        name = "GPT2";
+        opts.useLhr = false;
+        opts.workScale = 0.05;
+        opts.mapper = mapping::MapperKind::Sequential;
+        opts.irBackend = power::IrBackendKind::Transient;
+        opts.useIsa = true;
+        opts.isaSchedule = true;
+    }
+    const workload::ModelSpec model = workload::modelByName(name);
+    for (auto _ : state) {
+        const CompiledModel c = pipe.compile(model, opts);
+        benchmark::DoNotOptimize(c.rounds.data());
+    }
+}
+BENCHMARK(BM_AimCompile)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_RuntimeEnvBuild(benchmark::State &state)

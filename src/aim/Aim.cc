@@ -154,7 +154,17 @@ AimPipeline::runOffline(const workload::ModelSpec &model,
     synth.seed = opts.seed;
     out.floatLayers = workload::synthesizeWeights(model, synth);
 
+    // The baseline ([64] quantization) of the pretrained weights:
+    // with LHR off it is the offline quantization itself, read
+    // before WDS; with LHR on it quantizes the layers before QAT
+    // moves them (no layer trains, so it writes no weight).
+    const auto read_baseline = [&out](const quant::QatResult &base) {
+        out.baselineHrAverage = base.hrAverage();
+        out.baselineHrMax = base.hrMax();
+    };
     if (opts.useLhr) {
+        read_baseline(
+            quant::quantizeBaseline(out.floatLayers, opts.bits));
         quant::QatConfig qcfg;
         qcfg.bits = opts.bits;
         qcfg.lambda = opts.lambda;
@@ -163,20 +173,26 @@ AimPipeline::runOffline(const workload::ModelSpec &model,
     } else {
         out.quantized =
             quant::quantizeBaseline(out.floatLayers, opts.bits);
+        read_baseline(out.quantized);
     }
 
     if (opts.useWds) {
+        // One layer per item; the shift's statistics carry each
+        // layer's refreshed HR.
+        auto &q = out.quantized;
+        std::vector<quant::WdsStats> stats(q.layers.size());
+        const long n = static_cast<long>(stats.size());
+        exec::ExecPool pool(exec::ExecPool::threadsFor(n));
+        pool.parallelFor(n, [&](long i) {
+            stats[i] = quant::applyWds(q.layers[i], opts.wdsDelta);
+        });
         size_t clamped = 0;
         size_t total = 0;
-        for (auto &layer : out.quantized.layers) {
-            const auto stats =
-                quant::applyWds(layer, opts.wdsDelta);
-            clamped += stats.clamped;
-            total += stats.total;
+        for (size_t i = 0; i < stats.size(); ++i) {
+            clamped += stats[i].clamped;
+            total += stats[i].total;
+            q.layerHr[i] = stats[i].hrAfter;
         }
-        // Refresh per-layer HR after the shift.
-        for (size_t i = 0; i < out.quantized.layers.size(); ++i)
-            out.quantized.layerHr[i] = out.quantized.layers[i].hr();
         out.wdsClampedFraction =
             total > 0 ? static_cast<double>(clamped) / total : 0.0;
     }
@@ -197,18 +213,9 @@ AimPipeline::compile(const workload::ModelSpec &model,
     OfflineResult offline = runOffline(model, opts);
     out.hrAverage = offline.quantized.hrAverage();
     out.hrMax = offline.quantized.hrMax();
+    out.baselineHrAverage = offline.baselineHrAverage;
+    out.baselineHrMax = offline.baselineHrMax;
     out.wdsClampedFraction = offline.wdsClampedFraction;
-
-    // Reference baseline HR of the identical pretrained weights.
-    {
-        workload::SynthConfig synth;
-        synth.seed = opts.seed;
-        auto base_layers = workload::synthesizeWeights(model, synth);
-        const auto base =
-            quant::quantizeBaseline(base_layers, opts.bits);
-        out.baselineHrAverage = base.hrAverage();
-        out.baselineHrMax = base.hrMax();
-    }
 
     // Accuracy proxy (runtime-independent, so owned by the artifact).
     workload::AccuracyExtras extras;
@@ -274,10 +281,8 @@ AimPipeline::execute(const CompiledModel &compiled,
     // The toggle statistics next to the rounds' mappings, then the
     // rounds, run on a pool this call owns; the rounds merge in round
     // order, bit-identically (a trace included).
-    const size_t threads =
-        std::min(compiled.rounds.size(),
-                 static_cast<size_t>(exec::ExecPool::resolveThreads(0)));
-    exec::ExecPool pool(threads < 1 ? 1 : static_cast<int>(threads));
+    exec::ExecPool pool(exec::ExecPool::threadsFor(
+        static_cast<long>(compiled.rounds.size())));
     if (opts.useIsa) {
         aim_assert(compiled.program,
                    "useIsa artifact of ", compiled.modelName,

@@ -302,12 +302,22 @@ class AimPipeline
                       uint64_t runtimeSeed = 0,
                       isa::TraceSink *trace = nullptr) const;
 
-    /** Offline stages only: quantized layers + clamp stats. */
+    /**
+     * Offline stages only: quantized layers, clamp stats and the
+     * baseline HR of the same pretrained weights.  Synthesis,
+     * quantization and WDS each fan a model's layers out on a pool
+     * the pass creates per call, with min(layers, hardware
+     * concurrency) threads; every item writes only its own layer.
+     */
     struct OfflineResult
     {
         std::vector<quant::FloatLayer> floatLayers;
         quant::QatResult quantized;
         double wdsClampedFraction = 0.0;
+        /** Baseline ([64] quantization) HRaverage. */
+        double baselineHrAverage = 0.0;
+        /** Baseline HRmax. */
+        double baselineHrMax = 0.0;
     };
     OfflineResult runOffline(const workload::ModelSpec &model,
                              const AimOptions &opts) const;

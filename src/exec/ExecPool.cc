@@ -1,5 +1,6 @@
 #include "exec/ExecPool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <climits>
@@ -137,6 +138,12 @@ ExecPool::resolveThreads(int requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+int
+ExecPool::threadsFor(long items)
+{
+    return static_cast<int>(std::clamp<long>(items, 1, resolveThreads(0)));
 }
 
 namespace

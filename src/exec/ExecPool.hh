@@ -96,6 +96,13 @@ class ExecPool
     static int resolveThreads(int requested);
 
     /**
+     * Threads of a per-call pool over @p items: min(items, hardware
+     * concurrency), at least 1, so a call with one item spawns no
+     * thread.
+     */
+    static int threadsFor(long items);
+
+    /**
      * Extract a `--threads N` (or `--threads=N`) flag from argv,
      * compacting argc/argv in place, so binaries can add end-to-end
      * threading without disturbing positional arguments.  Returns

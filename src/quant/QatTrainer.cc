@@ -195,14 +195,11 @@ QatTrainer::run(std::vector<FloatLayer> &layers) const
         return cfg.lambda > 0.0 || !layer.mask.empty();
     };
 
-    // One worker per training layer, up to the hardware concurrency;
-    // with at most one the pool runs inline and spawns no thread.
+    // One worker per layer, up to the hardware concurrency, so the
+    // baseline's per-layer quantization and HR run in parallel too.
     // Items write only their own index slots, so any thread count
     // gives the serial result.
-    const long training = std::count_if(layers.begin(), layers.end(),
-                                        trains);
-    exec::ExecPool pool(static_cast<int>(std::clamp<long>(
-        training, 1, exec::ExecPool::resolveThreads(0))));
+    exec::ExecPool pool(exec::ExecPool::threadsFor(static_cast<long>(n)));
     pool.parallelFor(static_cast<long>(n), [&](long i) {
         FloatLayer &layer = layers[i];
         // The scale is frozen from the pretrained tensor, as in the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "exec/ExecPool.hh"
 #include "quant/Hamming.hh"
 #include "util/Logging.hh"
 #include "workload/WeightSynth.hh"
@@ -27,6 +28,19 @@ chunkHr(const quant::QuantizedLayer &layer, int i, int n)
         layer.bits);
 }
 
+/** Tasks tileOperator makes: its natural tile count, capped. */
+int
+tileCount(const workload::LayerSpec &spec, const pim::PimConfig &cfg,
+          int max_macros)
+{
+    const long col_tiles =
+        (spec.reduction + cfg.rows - 1) / cfg.rows;
+    const long row_tiles =
+        (spec.outChannels + cfg.banks - 1) / cfg.banks;
+    const long natural = std::max(col_tiles * row_tiles, 1L);
+    return static_cast<int>(std::min<long>(natural, max_macros));
+}
+
 } // namespace
 
 std::vector<mapping::Task>
@@ -38,13 +52,7 @@ tileOperator(const workload::LayerSpec &spec,
     aim_assert(max_macros >= 1, "need at least one macro");
 
     // Natural tile count from the full operator dimensions.
-    const long col_tiles =
-        (spec.reduction + cfg.rows - 1) / cfg.rows;
-    const long row_tiles =
-        (spec.outChannels + cfg.banks - 1) / cfg.banks;
-    const long natural = std::max(col_tiles * row_tiles, 1L);
-    const int macros =
-        static_cast<int>(std::min<long>(natural, max_macros));
+    const int macros = tileCount(spec, cfg, max_macros);
 
     // Per-tile HR: from weight chunks, or from synthesized activation
     // data for input-determined operators (unknown to the compiler;
@@ -86,35 +94,53 @@ compileModel(const workload::ModelSpec &model,
              const std::vector<quant::QuantizedLayer> &weightLayers,
              const pim::PimConfig &cfg, const CompilerConfig &ccfg)
 {
-    std::vector<Round> rounds;
-    Round cur;
+    // Placement, serially: operator i is Set i, lands in round[i]
+    // and may take room[i] macros; its tile count alone decides what
+    // the next operator finds left.
+    const size_t ops = model.layers.size();
+    std::vector<const quant::QuantizedLayer *> weights(ops, nullptr);
+    std::vector<int> room(ops);
+    std::vector<size_t> round(ops);
+    size_t r = 0;
     int used = 0;
-    int set_id = 0;
     size_t w = 0;
-    for (const auto &spec : model.layers) {
-        const quant::QuantizedLayer *weights = nullptr;
+    for (size_t i = 0; i < ops; ++i) {
+        const workload::LayerSpec &spec = model.layers[i];
         if (!workload::isInputDetermined(spec.type)) {
             aim_assert(w < weightLayers.size(),
                        "weight layer list too short at ", spec.name);
-            weights = &weightLayers[w++];
+            weights[i] = &weightLayers[w++];
         }
-        int room = cfg.macros() - used;
-        if (room < 1) {
-            rounds.push_back(std::move(cur));
-            cur = Round{};
+        if (cfg.macros() - used < 1) {
+            ++r;
             used = 0;
-            room = cfg.macros();
         }
-        const int this_set = set_id++;
-        auto tasks = tileOperator(spec, weights, cfg, this_set, room,
-                                  ccfg.seed + this_set + 1);
-        used += static_cast<int>(tasks.size());
-        cur.tasks.insert(cur.tasks.end(), tasks.begin(), tasks.end());
+        room[i] = cfg.macros() - used;
+        round[i] = r;
+        used += tileCount(spec, cfg, room[i]);
     }
     aim_assert(w == weightLayers.size(),
                "unused weight layers after compile");
-    if (!cur.tasks.empty())
-        rounds.push_back(std::move(cur));
+
+    // Tiling, one operator per item of a per-call pool: the chunk HRs
+    // and activation tiles are pure functions of the operator.
+    std::vector<std::vector<mapping::Task>> tasks(ops);
+    const long n = static_cast<long>(ops);
+    exec::ExecPool pool(exec::ExecPool::threadsFor(n));
+    pool.parallelFor(n, [&](long i) {
+        const int set_id = static_cast<int>(i);
+        tasks[i] = tileOperator(model.layers[i], weights[i], cfg,
+                                set_id, room[i],
+                                ccfg.seed + set_id + 1);
+    });
+
+    // Join in operator order.
+    std::vector<Round> rounds(ops > 0 ? r + 1 : 0);
+    for (size_t i = 0; i < ops; ++i) {
+        auto &dst = rounds[round[i]].tasks;
+        dst.insert(dst.end(), std::make_move_iterator(tasks[i].begin()),
+                   std::make_move_iterator(tasks[i].end()));
+    }
     return rounds;
 }
 

@@ -24,11 +24,20 @@ bitMask(int q)
 /**
  * Number of set bits in the q-bit two's-complement encoding of @p v.
  * E.g. popcountTc(-1, 8) == 8 and popcountTc(8, 8) == 1.
+ *
+ * An inline SWAR count (bit pairs, nibbles, then one multiply that
+ * sums the bytes): the x86-64 baseline has no POPCNT, so
+ * std::popcount compiles to a call into libgcc, which costs about
+ * twice as much per value in the HR passes of a compile.
  */
 constexpr int
 popcountTc(int64_t v, int q)
 {
-    return std::popcount(static_cast<uint32_t>(v) & bitMask(q));
+    uint32_t x = static_cast<uint32_t>(v) & bitMask(q);
+    x -= (x >> 1) & 0x55555555u;
+    x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0fu;
+    return static_cast<int>((x * 0x01010101u) >> 24);
 }
 
 /** Bit @p i (LSB = 0) of the q-bit two's-complement encoding of @p v. */
