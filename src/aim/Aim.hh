@@ -270,6 +270,17 @@ class AimPipeline
      * accuracy proxy, tile into rounds and apply workScale.  The
      * result is immutable and reusable across any number of execute()
      * calls (and across threads, since execute() does not touch it).
+     *
+     * Each per-layer pass runs once and fans the model's layers out
+     * on a pool it creates per call, with min(layers, hardware
+     * concurrency) threads: weight synthesis, the baseline and LHR
+     * quantization, WDS, and the tiling of each operator (after a
+     * serial placement of the operators into rounds).  The baseline
+     * HR comes from the layers already synthesized: with LHR off it
+     * is the offline quantization itself, read before WDS; with LHR
+     * on it is quantizeBaseline of the layers before QAT.  Every item
+     * writes only its own slot, so the artifact is bit-identical to
+     * the serial passes (tests/aim/CompileGoldenTest).
      */
     CompiledModel compile(const workload::ModelSpec &model,
                           const AimOptions &opts) const;

@@ -34,9 +34,12 @@
  * inside that pool (serve::RequestExecutor runs a request's rounds on
  * the serving loop's pool at dispatch and serially inside its
  * execute-ahead items), and pools nest across instances:
- * quant::QatTrainer::run trains a network's layers, and
- * AimPipeline::execute runs a request's rounds, on a pool each
- * creates per call, and either may itself run inside another pool's
+ * workload::synthesizeWeights fills a model's layers,
+ * quant::QatTrainer::run quantizes (and trains) them,
+ * AimPipeline::runOffline shifts them with WDS, sim::compileModel
+ * tiles its operators and AimPipeline::execute runs a request's
+ * rounds, each on a pool it creates per call (threadsFor(items)
+ * threads), and any of them may itself run inside another pool's
  * items (bench_fig18_beta_sweep runs whole pipelines as sweep
  * points).
  */

@@ -118,13 +118,13 @@ class QatTrainer
      * Layers train independently (each seeds its noise from
      * (cfg.seed, layer name)), so run() fans them out with
      * exec::ExecPool::parallelFor on a pool it creates for the call:
-     * one thread per training layer, up to the hardware concurrency.
+     * one thread per layer, up to the hardware concurrency, so the
+     * lambda = 0 baseline quantizes its layers in parallel too.
      * Each layer writes only its own result slots, so the result is
-     * bit-identical to training the layers one after another.  With
-     * at most one training layer (the lambda = 0 baseline trains
-     * none) no thread is spawned.  The pool is call-local on purpose:
-     * run() is itself called from the items of a sweep's pool, where
-     * that busy pool would train the layers inline.
+     * bit-identical to handling the layers one after another.  The
+     * pool is call-local on purpose: run() is itself called from the
+     * items of a sweep's pool, where that busy pool would train the
+     * layers inline.
      */
     QatResult run(std::vector<FloatLayer> &layers) const;
 

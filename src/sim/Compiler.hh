@@ -6,6 +6,14 @@
  * Each operator instance forms one logical MacroSet (its tiles must
  * run frequency-synchronized); a round is mapped and executed as a
  * unit by the runtime.
+ *
+ * compileModel works in two phases.  Placement is serial: an
+ * operator's tile count (the same count tileOperator makes) alone
+ * decides its round and the macros left for the next one.  Tiling
+ * then runs each operator on a pool the call creates, with
+ * min(operators, hardware concurrency) threads, and the rounds join
+ * the tasks in operator order, so the result does not depend on the
+ * thread count.
  */
 
 #ifndef AIM_SIM_COMPILER_HH

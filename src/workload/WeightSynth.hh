@@ -9,6 +9,12 @@
  * Large layers are *sampled*: HR, deviation and the distribution
  * statistics AIM optimizes are all means over weights, so a capped
  * random sample preserves them while keeping QAT tractable offline.
+ *
+ * Every layer draws from its own stream, forked from the seed by its
+ * operator's index, so synthesizeWeights sizes the layers serially
+ * and then fills them on a pool it creates per call, with
+ * min(layers, hardware concurrency) threads.  The values do not
+ * depend on the thread count.
  */
 
 #ifndef AIM_WORKLOAD_WEIGHTSYNTH_HH
