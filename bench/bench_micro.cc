@@ -126,8 +126,9 @@ void
 BM_PdnMeshSolve(benchmark::State &state)
 {
     // A DC solve through the mesh's cached factor (built by the
-    // warm-up solve, outside the timed loop): two triangular
-    // substitutions plus the right-hand side and bump observables.
+    // warm-up solve, outside the timed loop): one forward and one
+    // back sweep of row-block products plus the right-hand side and
+    // bump observables (16 is the droop backends' mesh).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     power::PdnMesh mesh(cfg);
@@ -139,14 +140,15 @@ BM_PdnMeshSolve(benchmark::State &state)
         benchmark::DoNotOptimize(sol.voltage.data());
     }
 }
-BENCHMARK(BM_PdnMeshSolve)->Arg(24)->Arg(48);
+BENCHMARK(BM_PdnMeshSolve)->Arg(16)->Arg(24)->Arg(48);
 
 void
 BM_PdnMeshFactor(benchmark::State &state)
 {
-    // The one-time cost every solve amortizes: the banded Cholesky
-    // factor of the DC matrix, paid once per mesh or mesh backend
-    // (16 is the backends' default mesh, 48 the solver default).
+    // The one-time cost every solve amortizes: the inverse Schur
+    // complement of every grid row of the DC matrix, paid once per
+    // mesh or mesh backend (16 is the backends' default mesh, 48 the
+    // solver default).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     for (auto _ : state) {
@@ -306,9 +308,10 @@ void
 BM_PdnMeshTransientStep(benchmark::State &state)
 {
     // One implicit-Euler RC step per window is the transient droop
-    // backend's hot loop (power/TransientBackend): two triangular
-    // substitutions through the mesh's step factor from the previous
-    // window's state.
+    // backend's hot loop (power/TransientBackend): one forward and
+    // one back sweep of row-block products through the mesh's step
+    // factor from the previous window's state (16 is the backend's
+    // mesh).
     power::PdnMeshConfig cfg;
     cfg.size = static_cast<int>(state.range(0));
     cfg.bumpPitch = 4;
@@ -327,7 +330,7 @@ BM_PdnMeshTransientStep(benchmark::State &state)
         benchmark::DoNotOptimize(st.sol.voltage.data());
     }
 }
-BENCHMARK(BM_PdnMeshTransientStep)->Arg(16)->Arg(24);
+BENCHMARK(BM_PdnMeshTransientStep)->Arg(16)->Arg(24)->Arg(48);
 
 void
 BM_HrAwareAnnealing(benchmark::State &state)

@@ -87,8 +87,8 @@ class MeshEval final : public IrEval
         }
         if (!pendingDeltas.empty()) {
             // Exact DC solve of the new loads through the backend's
-            // shared factor, in place: two triangular substitutions
-            // and no per-window allocation.
+            // shared factor, in place: two sweeps of row-block
+            // products and no per-window allocation.
             mesh.applyLoadDeltas(pendingDeltas);
             mesh.solve(bk.dcFactor, sol);
             for (size_t g = 0; g < groupNodes.size(); ++g)

@@ -1,7 +1,9 @@
 #include "power/PdnMesh.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "util/Logging.hh"
 
@@ -30,25 +32,104 @@ validate(const PdnMeshConfig &cfg)
                "negative bump inductance");
 }
 
-/**
- * Dot product of two contiguous runs of @p len values, in four
- * partial sums combined in a fixed order (deterministic, and free of
- * the single-accumulator latency chain).
- */
-inline double
-dot(const double *a, const double *b, long len)
+/** Two doubles, the x86-64 baseline's SSE2 register width. */
+using V2 = double __attribute__((vector_size(16)));
+
+inline V2
+load2(const double *p)
 {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    long k = 0;
-    for (; k + 4 <= len; k += 4) {
-        s0 += a[k] * b[k];
-        s1 += a[k + 1] * b[k + 1];
-        s2 += a[k + 2] * b[k + 2];
-        s3 += a[k + 3] * b[k + 3];
+    V2 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/**
+ * One register tile of a block product: acc[k] holds columns 2k and
+ * 2k + 1 of sum_j m[j][.] in[j], where @p m points at the tile's
+ * first column of an n x n row-major block.  The 2V sums are
+ * independent chains, so a product is n steps deep however many
+ * outputs it has.
+ */
+template <int V>
+inline void
+accumulate(const double *m, long n, const double *in, V2 (&acc)[V])
+{
+    for (int k = 0; k < V; ++k)
+        acc[k] = V2{0.0, 0.0};
+    for (long j = 0; j < n; ++j, m += n) {
+        const V2 xj = {in[j], in[j]};
+        for (int k = 0; k < V; ++k)
+            acc[k] += load2(m + 2 * k) * xj;
     }
-    for (; k < len; ++k)
-        s0 += a[k] * b[k];
-    return (s0 + s1) + (s2 + s3);
+}
+
+/**
+ * out = m in (Add false) or out += alpha m in (Add true) for one
+ * symmetric n x n block, read by columns: 8-output register tiles,
+ * then 2-output tiles and a scalar tail.  @p in and @p out must not
+ * overlap.
+ */
+template <bool Add>
+void
+product(const double *m, long n, const double *in, double *out,
+        double alpha)
+{
+    auto emit = [&](long i, const V2 *acc, int v) {
+        for (int k = 0; k < v; ++k)
+            for (int h = 0; h < 2; ++h) {
+                double &o = out[i + 2 * k + h];
+                o = Add ? o + alpha * acc[k][h] : acc[k][h];
+            }
+    };
+    long i = 0;
+    for (; i + 8 <= n; i += 8) {
+        V2 acc[4];
+        accumulate(m + i, n, in, acc);
+        emit(i, acc, 4);
+    }
+    for (; i + 2 <= n; i += 2) {
+        V2 acc[1];
+        accumulate(m + i, n, in, acc);
+        emit(i, acc, 1);
+    }
+    if (i < n) {
+        double s = 0.0;
+        for (long j = 0; j < n; ++j)
+            s += m[j * n + i] * in[j];
+        out[i] = Add ? out[i] + alpha * s : s;
+    }
+}
+
+/**
+ * Overwrite the symmetric positive definite n x n matrix @p s
+ * (row-major) with its inverse by Gauss-Jordan elimination in place.
+ * An SPD matrix needs no pivoting (every pivot is positive), and
+ * each update is an independent row axpy.  The upper triangle is
+ * then mirrored, so the stored inverse is exactly symmetric.
+ */
+void
+invertSpd(double *s, long n)
+{
+    for (long k = 0; k < n; ++k) {
+        double *sk = s + k * n;
+        aim_assert(sk[k] > 0.0, "PDN matrix not positive definite");
+        const double p = 1.0 / sk[k];
+        sk[k] = 1.0;
+        for (long j = 0; j < n; ++j)
+            sk[j] *= p;
+        for (long i = 0; i < n; ++i) {
+            if (i == k)
+                continue;
+            double *si = s + i * n;
+            const double f = si[k];
+            si[k] = 0.0;
+            for (long j = 0; j < n; ++j)
+                si[j] -= f * sk[j];
+        }
+    }
+    for (long i = 0; i < n; ++i)
+        for (long j = 0; j < i; ++j)
+            s[i * n + j] = s[j * n + i];
 }
 
 } // namespace
@@ -104,6 +185,8 @@ PdnSolution::renderHeatMap(double vdd, double scaleMv) const
 //             -> I' = gbe (Vdd + (L/dt) I_prev - V'),
 //                gbe = 1 / (1/gb + L/dt)
 // At dt = kPdnDcStep, gc = L/dt = 0 and gbe = gb: the DC system.
+// Either system is factored by the block elimination below and
+// solved by two sweeps of row-block products: no iteration.
 PdnStepFactor::PdnStepFactor(const PdnMeshConfig &cfg, double dt_sec)
     : n(cfg.size), pitch(cfg.bumpPitch), g(cfg.sheetConductance),
       gb(cfg.bumpConductance), dt(dt_sec), gc(cfg.decapFarad / dt),
@@ -113,46 +196,34 @@ PdnStepFactor::PdnStepFactor(const PdnMeshConfig &cfg, double dt_sec)
     validate(cfg);
     aim_assert(dt_sec > 0.0, "PDN step needs dt > 0");
 
-    // The lower band of the matrix: row i holds columns i-n .. i, so
-    // the west link sits at n - 1, the north link at 0 and the
-    // diagonal at n.
-    const long w = n + 1;
+    // Block elimination over grid rows: S_0 = T_0, S_r = T_r -
+    // g^2 M_{r-1}, where T_r is row r's tridiagonal block (diagonal
+    // = links * g + gc, + gbe on bumps; -g to the west and east
+    // neighbours) and -g I couples row r to its neighbour rows.
     const long nn = static_cast<long>(n) * n;
-    band.assign(static_cast<size_t>(nn * w), 0.0);
-    for (int r = 0; r < n; ++r)
+    inv.assign(static_cast<size_t>(nn * n), 0.0);
+    std::vector<double> s(static_cast<size_t>(nn));
+    const double g2 = g * g;
+    for (int r = 0; r < n; ++r) {
+        if (r == 0)
+            std::fill(s.begin(), s.end(), 0.0);
+        else
+            for (long k = 0; k < nn; ++k)
+                s[k] = -g2 * inv[(r - 1) * nn + k];
         for (int c = 0; c < n; ++c) {
-            double *row =
-                band.data() + (static_cast<long>(r) * n + c) * w;
+            double *row = s.data() + static_cast<long>(c) * n;
             const int links =
                 (r > 0) + (r + 1 < n) + (c > 0) + (c + 1 < n);
-            row[n] = links * g + gc;
+            row[c] += links * g + gc;
             if (r % pitch == 0 && c % pitch == 0)
-                row[n] += gbe;
+                row[c] += gbe;
             if (c > 0)
-                row[n - 1] = -g;
-            if (r > 0)
-                row[0] = -g;
+                row[c - 1] -= g;
+            if (c + 1 < n)
+                row[c + 1] -= g;
         }
-
-    // In-place banded Cholesky, row by row: L[i][j] = (A[i][j] -
-    // sum_k L[i][k] L[j][k]) / L[j][j] over the band, and the
-    // diagonal slot keeps 1 / L[i][i] so the substitutions multiply.
-    for (long i = 0; i < nn; ++i) {
-        double *li = band.data() + i * w;
-        const long j0 = std::max(0L, i - n);
-        for (long j = j0; j <= i; ++j) {
-            const double *lj = band.data() + j * w;
-            const double s = li[j - i + n] -
-                             dot(li + (j0 - i + n), lj + (j0 - j + n),
-                                 j - j0);
-            if (j < i) {
-                li[j - i + n] = s * lj[n];
-            } else {
-                aim_assert(s > 0.0,
-                           "PDN matrix not positive definite");
-                li[n] = 1.0 / std::sqrt(s);
-            }
-        }
+        invertSpd(s.data(), n);
+        std::copy(s.begin(), s.end(), inv.begin() + r * nn);
     }
 }
 
@@ -168,32 +239,27 @@ PdnStepFactor::matches(const PdnMeshConfig &cfg, double dt_sec) const
 void
 PdnStepFactor::solveInPlace(double *x) const
 {
-    const long w = n + 1;
     const long nn = static_cast<long>(n) * n;
-    // Forward, L y = b: one band-row dot product per unknown.  The
-    // previous unknown's term is subtracted last, outside the dot,
-    // so the dependency chain from row to row is one multiply-add.
-    x[0] *= band[n];
-    for (long i = 1; i < nn; ++i) {
-        const double *li = band.data() + i * w;
-        const long j0 = std::max(0L, i - n);
-        const double s =
-            x[i] - dot(li + (j0 - i + n), x + j0, i - 1 - j0);
-        x[i] = (s - li[n - 1] * x[i - 1]) * li[n];
+    // One grid row of scratch holds the forward pass's right-hand
+    // side while its product overwrites the row: on the stack for
+    // every mesh up to kStackRow nodes a side (whose factor is
+    // already 1 GiB), on the heap beyond.
+    constexpr long kStackRow = 512;
+    std::array<double, kStackRow> onStack;
+    std::vector<double> onHeap(n > kStackRow ? n : 0);
+    double *t = n > kStackRow ? onHeap.data() : onStack.data();
+
+    // Forward: u_r = M_r (b_r + g u_{r-1}), row r's u over its b.
+    for (long r = 0; r < n; ++r) {
+        double *xr = x + r * n;
+        for (long c = 0; c < n; ++c)
+            t[c] = r == 0 ? xr[c] : xr[c] + g * xr[c - n];
+        product<false>(inv.data() + r * nn, n, t, xr, 1.0);
     }
-    // Back, L^T x = y, column-oriented: each solved unknown is
-    // subtracted from the n before it through its own band row, so
-    // both passes stream the factor contiguously.
-    for (long i = nn - 1; i >= 0; --i) {
-        const double *li = band.data() + i * w;
-        const double xi = x[i] * li[n];
-        x[i] = xi;
-        const long j0 = std::max(0L, i - n);
-        const double *lk = li + (j0 - i + n);
-        double *xk = x + j0;
-        for (long k = 0; k < i - j0; ++k)
-            xk[k] -= lk[k] * xi;
-    }
+    // Back: x_r = u_r + g M_r x_{r+1}; the last row's u is its x.
+    for (long r = n - 2; r >= 0; --r)
+        product<true>(inv.data() + r * nn, n, x + (r + 1) * n,
+                      x + r * n, g);
 }
 
 PdnMesh::PdnMesh(const PdnMeshConfig &cfg)

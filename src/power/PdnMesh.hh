@@ -12,12 +12,13 @@
  *
  * One direct solver answers every solve.  The nodal matrix depends
  * only on geometry, storage elements and the step size, so it is
- * factored once (PdnStepFactor, a banded Cholesky) and each solve is
- * one forward and one back substitution -- no iteration, exact up to
- * rounding.  A transient step solves the backward-Euler matrix at
- * its dt; the DC system is that matrix at dt = infinity (C/dt = L/dt
- * = 0, kPdnDcStep), so the DC solve and a step without storage
- * elements are one computation.
+ * factored once (PdnStepFactor, block elimination over grid rows)
+ * and each solve is one forward and one back sweep of dense
+ * row-block products -- no iteration, exact up to rounding.  A
+ * transient step solves the backward-Euler matrix at its dt; the DC
+ * system is that matrix at dt = infinity (C/dt = L/dt = 0,
+ * kPdnDcStep), so the DC solve and a step without storage elements
+ * are one computation.
  */
 
 #ifndef AIM_POWER_PDNMESH_HH
@@ -112,12 +113,19 @@ inline constexpr double kPdnDcStep =
  * dt), factored once.  The matrix is the nodal diagonal (neighbour
  * links + decap conductance C/dt, plus the effective bump
  * conductance 1/(1/gb + L/dt) on bump nodes) minus the sheet
- * conductance on every grid link: symmetric positive definite with
- * half-bandwidth `size` in row-major node order.  At dt = kPdnDcStep
- * it is the DC matrix.  Its banded Cholesky factor holds size^2 x
- * (size + 1) doubles, and a solve is one forward and one back
- * substitution.  Immutable once built, so one factor is shared
- * read-only by every mesh and thread that solves the same system.
+ * conductance on every grid link: symmetric positive definite and,
+ * in row-major node order, block tridiagonal over grid rows -- row
+ * r's tridiagonal block T_r on the diagonal, -g I between
+ * neighbouring rows.  At dt = kPdnDcStep it is the DC matrix.
+ *
+ * The factor holds the inverse Schur complements M_r = S_r^-1, with
+ * S_0 = T_0 and S_r = T_r - g^2 M_{r-1}: size^3 doubles.  A solve is
+ * 2 size - 1 dense size x size matrix-vector products, forward
+ * u_r = M_r (b_r + g u_{r-1}) and back x_r = u_r + g M_r x_{r+1};
+ * each product's size outputs accumulate independently, so no
+ * dependency chain runs through every node.  Immutable once built,
+ * so one factor is shared read-only by every mesh and thread that
+ * solves the same system, and a solve allocates nothing.
  */
 class PdnStepFactor
 {
@@ -150,11 +158,8 @@ class PdnStepFactor
     int n, pitch;
     double g, gb, dt;
     double gc, lDt, gbe;
-    /**
-     * Row i of the lower factor L at [i * (n + 1), (i + 1) * (n + 1)):
-     * L[i][i - n .. i - 1], then 1 / L[i][i].
-     */
-    std::vector<double> band;
+    /** M_r at [r * n^2, (r + 1) * n^2), row-major and symmetric. */
+    std::vector<double> inv;
 };
 
 /**
@@ -205,9 +210,9 @@ class PdnMesh
 
     /**
      * Solve KCL for the current load set through the mesh's DC
-     * factor, built on first use and kept: after that a solve is two
-     * triangular substitutions.  Decap and bump inductance do not
-     * enter DC.
+     * factor, built on first use and kept: after that a solve is
+     * one forward and one back sweep of row-block products.  Decap
+     * and bump inductance do not enter DC.
      */
     PdnSolution solve() const;
 
@@ -274,8 +279,8 @@ class PdnMesh
     const PdnStepFactor &ownFactor(double dtSec) const;
 
     /**
-     * The one substitution every solve shares: build the right-hand
-     * side in @p sol's voltages, solve it through @p f, then update
+     * The one step every solve shares: build the right-hand side in
+     * @p sol's voltages, solve it in place through @p f, then update
      * the bump observables and, when @p bumpA is not null, the bump
      * inductor currents (a DC solve has none).
      */

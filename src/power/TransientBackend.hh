@@ -20,7 +20,8 @@
  * The step's matrix depends only on the mesh, its storage elements
  * and dt, so the backend factors it once per dt (PdnStepFactor) and
  * every round's evaluator shares that immutable factor: a window
- * costs two triangular substitutions, with no iteration and no
+ * costs one forward and one back sweep of dense row-block products
+ * (~2 us at the default 16 x 16), with no iteration and no
  * convergence cap.
  *
  * Everything except the per-window step is inherited from

@@ -145,8 +145,8 @@ TEST(BackendGolden, TransientResNet18HeadlineDroop)
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
                  {1795.0877192982448, 91202177, 249.08864225870352,
-                  4.6491027888386265, 191.9919733097648,
-                  35.595365570314684, 159L, 72L, 735L, 9L,
+                  4.6491027888386265, 191.99197330977123,
+                  35.595365570312104, 159L, 72L, 735L, 9L,
                   40.530686709640676, 0.11077234394550951});
 }
 
@@ -164,8 +164,8 @@ TEST(BackendGolden, MeshResNet18HeadlineDroop)
     const auto rep = pipe.execute(compiled);
     expectGolden(rep.run,
                  {1570.5263157894728, 91202177, 292.286029910526,
-                  4.6525177411380758, 70.038820063995743,
-                  33.774838720562222, 1L, 3L, 735L, 18L,
+                  4.6525177411380758, 70.038820064007226,
+                  33.774838720567082, 1L, 3L, 735L, 18L,
                   32.785476344853706, 0.11055945690936674});
 }
 
