@@ -15,15 +15,15 @@
  * reduced sweep and exits non-zero unless the droop correlation is
  * >= 0.95, the mesh backend sustains >= 50% of the analytic
  * windows/sec (a window re-solves only when a group's demand moved
- * past rtogThreshold, as two triangular substitutions; ~84-91% on a
+ * past rtogThreshold, as one block solve of the mesh; ~60-63% on a
  * 4-vCPU Xeon VM), and the
  * transient backend both overshoots its converged DC droop by
  * 3%..60% on a step load and sustains >= 50% of the analytic
  * windows/sec (the CI gate).  The transient speed is matched: both
  * backends run the same HR-sweep rounds, and the gate takes the
- * median ratio of three passes (the direct factored step reads
- * ~69-78% on a 4-vCPU Xeon VM; the 40-sweep SOR step it replaced
- * read 36-41%).
+ * median ratio of three passes (the block-solved step reads ~58-60%
+ * on a 4-vCPU Xeon VM, the banded-Cholesky step it replaced 44-47%;
+ * the 40-sweep SOR step before that read 36-41%).
  */
 
 #include "BenchCommon.hh"

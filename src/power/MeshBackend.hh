@@ -14,19 +14,19 @@
  *
  * Cost model: construction factors the mesh's DC matrix once
  * (PdnStepFactor at kPdnDcStep: one inverse Schur complement per
- * grid row, ~45 us at the default 16 x 16) and solves the
+ * grid row, ~40 us at the default 16 x 16) and solves the
  * full-activity load through it (this also calibrates the mesh
  * scale to Equation 2's full-activity dynamic drop).  Every round's
  * evaluator shares that factor read-only; per window, only groups
  * whose demand current moved beyond IrBackendConfig::rtogThreshold
  * contribute to one batched PdnMesh::applyLoadDeltas vector (their
  * footprints pre-flattened to node indices by groupNodeLists), and
- * one exact DC solve -- 31 dense 16 x 16 row-block products, ~2 us
- * -- runs in place.  Groups inside the
- * threshold scale their cached footprint drop linearly with demand
- * (the mesh is a linear network, so own-contribution scaling is
- * exact).  A window's droop is therefore a function of the round's
- * applied loads alone: the evaluator carries no solver history.
+ * one exact DC solve -- 31 dense 16 x 16 row-block products at the
+ * default size, ~2 us -- runs in place.  Groups inside the threshold
+ * scale their cached footprint drop linearly with demand (the mesh
+ * is a linear network, so own-contribution scaling is exact).  A
+ * window's droop is therefore a function of the round's applied
+ * loads alone: the evaluator carries no solver history.
  */
 
 #ifndef AIM_POWER_MESHBACKEND_HH

@@ -241,7 +241,8 @@ PdnStepFactor::solveInPlace(double *x) const
 {
     const long nn = static_cast<long>(n) * n;
     // One grid row of scratch holds the forward pass's right-hand
-    // side while its product overwrites the row: on the stack for
+    // side while its product overwrites the row (each row writes
+    // all n entries before its product reads them): on the stack for
     // every mesh up to kStackRow nodes a side (whose factor is
     // already 1 GiB), on the heap beyond.
     constexpr long kStackRow = 512;

@@ -125,7 +125,8 @@ inline constexpr double kPdnDcStep =
  * each product's size outputs accumulate independently, so no
  * dependency chain runs through every node.  Immutable once built,
  * so one factor is shared read-only by every mesh and thread that
- * solves the same system, and a solve allocates nothing.
+ * solves the same system; a solve allocates nothing on a mesh of up
+ * to 512 nodes a side (its one row of scratch lives on the stack).
  */
 class PdnStepFactor
 {
